@@ -3,9 +3,19 @@ with individualisation, plus the automorphism and sign bookkeeping the chain
 complexes need.
 
 Two graphs are isomorphic (weights, directions and marking labels preserved)
-iff their canonical byte keys are equal.  Ties between refinement-equivalent
-vertices are broken by minimising the encoded form, so keys are deterministic
+iff their canonical byte keys are equal.  The canonical form is the least key
+over the leaves of the individualisation tree, and the relabelling returned is
+the first such leaf in a fixed depth-first order, so keys are deterministic
 and independent of input labelling or thread scheduling.
+
+The search prunes the tree with automorphisms as in nauty (McKay & Piperno,
+*Practical graph isomorphism II*, 2014): two leaves with equal keys give an
+automorphism, a child in the orbit of an explored sibling under the
+automorphisms fixing the node's prefix is skipped, and a branch shown to be
+the image of an earlier one is abandoned.  The automorphisms found generate
+the full group; ``group_closure`` lists its elements where a caller needs
+them.  A partition that is discrete after the first refinement (the usual
+case for labelled catalog graphs) is a single leaf and skips the search.
 """
 from __future__ import annotations
 
@@ -108,8 +118,9 @@ def _refine(nv, inc, colors):
 
 
 def canonicalize(weights, edges, marks, directed):
-    """Return ``(key, vperm, auts)``: canonical byte key, the relabelling
-    old->canonical, and all vertex automorphisms in canonical coordinates."""
+    """Return ``(key, vperm, gens)``: canonical byte key, the relabelling
+    old->canonical, and generators of the vertex automorphism group in
+    canonical coordinates (``group_closure`` expands them)."""
     nv = len(weights)
     if nv == 0:
         raise GraphError("empty vertex set")
@@ -128,45 +139,122 @@ def canonicalize(weights, edges, marks, directed):
     raw = [(weights[v], tuple(sorted(hairs[v])), deg[v]) for v in range(nv)]
     ren = {s: i for i, s in enumerate(sorted(set(raw)))}
     colors = _refine(nv, inc, [ren[s] for s in raw])
-
-    best_key = None
-    best_perms = []
-
-    stack = [colors]
-    while stack:
-        cols = stack.pop()
-        classes = {}
-        for v in range(nv):
-            classes.setdefault(cols[v], []).append(v)
-        target = None
-        for c in sorted(classes):
-            if len(classes[c]) > 1:
-                target = classes[c]
-                break
-        if target is None:
-            order = sorted(range(nv), key=lambda v: cols[v])
-            perm = [0] * nv
-            for i, v in enumerate(order):
-                perm[v] = i
-            key = _encoded(weights, edges, marks, perm, directed)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_perms = [perm]
-            elif key == best_key:
-                best_perms.append(perm)
-            continue
-        for v in target:
-            c2 = list(cols)
-            c2[v] = -1
-            ren2 = {s: i for i, s in enumerate(sorted(set(c2)))}
-            stack.append(_refine(nv, inc, [ren2[s] for s in c2]))
-
-    perm0 = best_perms[0]
+    if len(set(colors)) == nv:
+        # discrete at the root: the search tree is a single leaf
+        return _encoded(weights, edges, marks, colors, directed), tuple(colors), ()
+    key, perm0, gens = _search(
+        nv, inc, colors, lambda perm: _encoded(weights, edges, marks, perm, directed))
     inv0 = [0] * nv
-    for i, p in enumerate(perm0):
-        inv0[p] = i
-    auts = sorted(set(tuple(p[inv0[i]] for i in range(nv)) for p in best_perms))
-    return best_key, tuple(perm0), tuple(auts)
+    for v, p in enumerate(perm0):
+        inv0[p] = v
+    canon = {tuple(perm0[g[inv0[i]]] for i in range(nv)) for g in gens}
+    return key, tuple(perm0), tuple(sorted(canon))
+
+
+def _search(nv, inc, colors, encode):
+    """Depth-first search of the individualisation tree below ``colors``.
+
+    Children are visited in descending vertex order.  A leaf whose key equals
+    that of the first leaf or of the best leaf so far yields an automorphism
+    (in input coordinates).  A child is skipped when it lies in the orbit of
+    an explored sibling under the automorphisms fixing the node's prefix
+    pointwise, and when an automorphism maps an earlier branch of a common
+    ancestor onto the current one the search returns to that ancestor.  Both
+    cuts drop only subtrees that are images of ones already searched, so the
+    best key and its first leaf are those of the full tree, and the
+    automorphisms found generate the whole group.
+
+    Returns ``(best key, first best leaf, automorphisms found)``.
+    """
+    gens = []
+    path = []
+    first = best = None
+
+    def leaf(perm):
+        nonlocal first, best
+        key = encode(perm)
+        here = (key, perm, tuple(path))
+        if first is None:
+            first = best = here
+            return None
+        ref = first if key == first[0] else best if key == best[0] else None
+        if ref is None:
+            if key < best[0]:
+                best = here
+            return None
+        inv = [0] * nv
+        for v, p in enumerate(perm):
+            inv[p] = v
+        aut = tuple(inv[p] for p in ref[1])
+        if all(aut[v] == v for v in range(nv)):
+            return None
+        gens.append(aut)
+        # return to the deepest common ancestor if aut maps the earlier
+        # branch there onto the current one
+        old, new = ref[2], here[2]
+        c = 0
+        while old[c] == new[c]:
+            c += 1
+        if aut[old[c]] == new[c] and all(aut[v] == v for v in old[:c]):
+            return c
+        return None
+
+    def visit(cols):
+        cells = [[] for _ in range(nv)]
+        for v, c in enumerate(cols):
+            cells[c].append(v)
+        cell = next((c for c in cells if len(c) > 1), None)
+        if cell is None:
+            return leaf(cols)
+        depth = len(path)
+        explored = []
+        for v in reversed(cell):
+            if explored and gens and _in_orbit(
+                    v, explored, [g for g in gens if all(g[x] == x for x in path)]):
+                continue
+            child = [c + 1 for c in cols]
+            child[v] = 0
+            path.append(v)
+            jump = visit(_refine(nv, inc, child))
+            path.pop()
+            explored.append(v)
+            if jump is not None and jump < depth:
+                return jump
+        return None
+
+    visit(colors)
+    return best[0], best[1], gens
+
+
+def _in_orbit(v, seeds, gens):
+    orbit = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = g[x]
+            if y not in orbit:
+                if y == v:
+                    return True
+                orbit.add(y)
+                frontier.append(y)
+    return False
+
+
+def group_closure(gens, n):
+    """Every element of the permutation group on ``range(n)`` generated by
+    ``gens``, sorted."""
+    ident = tuple(range(n))
+    elems = {ident}
+    frontier = [ident]
+    while frontier:
+        a = frontier.pop()
+        for g in gens:
+            b = tuple(map(g.__getitem__, a))
+            if b not in elems:
+                elems.add(b)
+                frontier.append(b)
+    return tuple(sorted(elems))
 
 
 # -- canonical form object ------------------------------------------------------
@@ -176,18 +264,26 @@ class CanonicalForm:
 
     ``vertex_map`` sends old vertex ids to canonical ids; ``edge_map`` is the
     induced edge bijection (parallel bundles matched in input order);
-    ``auts`` are the vertex automorphisms of the canonical graph.
+    ``gens`` generate the vertex automorphisms of the canonical graph and
+    ``auts`` lists them all.
     """
-    __slots__ = ("key", "vertex_map", "auts", "_graph", "_edge_map", "_src")
+    __slots__ = ("key", "vertex_map", "gens", "_auts", "_graph", "_edge_map", "_src")
 
     def __init__(self, src: Graph):
-        key, vperm, auts = canonicalize(src.weights, src.edges, src.marks, src.directed)
+        key, vperm, gens = canonicalize(src.weights, src.edges, src.marks, src.directed)
         self.key = key
         self.vertex_map = vperm
-        self.auts = auts
+        self.gens = gens
+        self._auts = None
         self._src = src
         self._graph = None
         self._edge_map = None
+
+    @property
+    def auts(self):
+        if self._auts is None:
+            self._auts = group_closure(self.gens, len(self.vertex_map))
+        return self._auts
 
     @property
     def graph(self) -> Graph:
@@ -210,16 +306,15 @@ class CanonicalForm:
         return perm_parity(self.edge_map)
 
     def killed(self, kind: str) -> bool:
-        g = self.graph
         if kind == "edges":
-            return edge_orientation_killed(g, self.auts)
+            return edge_orientation_killed(self.graph, self.gens)
         if kind == "vertices":
-            return any(perm_parity(a) < 0 for a in self.auts)
+            return any(perm_parity(a) < 0 for a in self.gens)
         raise GraphError("orientation kind must be 'edges' or 'vertices'")
 
     def aut_order(self) -> int:
         """Order of the half-edge level automorphism group."""
-        return automorphism_count(self.graph, self.auts)
+        return automorphism_count(self.graph, self.gens)
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -246,7 +341,8 @@ def induced_edge_map(edges, vperm, canonical_edges, directed):
 
 def edge_orientation_killed(g: Graph, auts) -> bool:
     """True iff some automorphism acts with sign -1 on the edge set.  Any
-    parallel bundle (or repeated loop) carries an odd swap already."""
+    parallel bundle (or repeated loop) carries an odd swap already.  Without
+    bundles the edge sign is a homomorphism, so ``auts`` may be generators."""
     cnt = Counter((min(u, v), max(u, v)) for (u, v) in g.edges)
     if any(c >= 2 for c in cnt.values()):
         return True
@@ -257,9 +353,10 @@ def edge_orientation_killed(g: Graph, auts) -> bool:
     return False
 
 
-def automorphism_count(g: Graph, auts) -> int:
-    """Half-edge level automorphism count: vertex automorphisms times the
-    parallel-bundle permutations they leave free, times loop flips."""
+def automorphism_count(g: Graph, gens) -> int:
+    """Half-edge level automorphism count: vertex automorphisms (the group
+    ``gens`` generate) times the parallel-bundle permutations they leave
+    free, times loop flips."""
     if g.directed:
         bundles = Counter(g.edges)
         loops = 0
@@ -269,7 +366,7 @@ def automorphism_count(g: Graph, auts) -> int:
     bundle_factor = 1
     for c in bundles.values():
         bundle_factor *= factorial(c)
-    return len(auts) * bundle_factor * (2 ** loops)
+    return len(group_closure(gens, g.n_vertices)) * bundle_factor * (2 ** loops)
 
 
 # -- orientation data -----------------------------------------------------------

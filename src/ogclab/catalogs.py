@@ -7,25 +7,31 @@ bivalent, have an outgoing half-edge or marking, and are never passing
 (one edge in, one half-edge out).
 
 Both generators share a two-stage strategy: first the undirected cores are
-grown one edge at a time with a canonical-parent acceptance test, so every
-core isomorphism class appears exactly once; then hair assignments (and, for
-the oriented flavour, per-edge subdivide/forward/backward decorations) are
-enumerated with deficit pruning and deduplicated through canonical keys.
+grown one edge at a time by canonical augmentation (McKay, *Isomorph-free
+exhaustive generation*, 1998), trying one new edge per automorphism orbit of
+the parent and keeping a child only when the new edge is in the orbit of its
+last canonical edge, so every core isomorphism class appears exactly once;
+then hair assignments (and, for the oriented flavour, per-edge
+subdivide/forward/backward decorations) are enumerated with deficit pruning
+and deduplicated through canonical keys.  The automorphism generators found
+while canonicalising each cell give its kill flag and automorphism order.
 A subdivided edge stands for the bivalent double-outgoing source vertex, so
 oriented graphs of every shape arise from small cores.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .graphs import (Graph, GraphError, StabilityProfile, genus, is_acyclic,
                      is_connected, is_stable, contract_edge, graph_from_json,
                      graph_to_json)
-from .canonical import (canonicalize, decode_key, canonical_form,
+from .canonical import (canonicalize, decode_key, canonical_form, group_closure,
                         automorphism_count, edge_orientation_killed, perm_parity)
 
 GENERATOR_VERSION = 1
@@ -84,11 +90,17 @@ _core_cache = {}
 
 def connected_cores(nv: int, ne: int, max_b1: int, allow_loops: bool):
     """Isomorphism classes of connected multigraphs with ``nv`` vertices and
-    ``ne`` edges whose first Betti number is at most ``max_b1``.
+    ``ne`` edges whose first Betti number is at most ``max_b1``, each as
+    ``(canonical edges, full vertex automorphism group)``.
 
-    Grown one edge at a time; a child is accepted only when deleting the
-    lexicographically largest edge of its canonical form returns its parent,
-    which makes the generation exhaustive and duplicate-free.
+    Grown one edge at a time by canonical augmentation.  Each level holds
+    one canonical graph per isomorphism class with generators of its
+    automorphism group.  From a parent ``P`` one candidate edge is tried per
+    orbit of ``Aut(P)`` on vertex pairs, and the child ``P+e`` is accepted
+    iff ``e``, mapped through the child's canonical relabelling, lies in the
+    orbit of the child's last canonical edge under ``Aut(P+e)``.  A class is
+    therefore produced exactly once, from the class of itself minus its last
+    canonical edge, at one canonicalisation per candidate.
     """
     cache_key = (nv, ne, max_b1, allow_loops)
     hit = _core_cache.get(cache_key)
@@ -102,32 +114,52 @@ def connected_cores(nv: int, ne: int, max_b1: int, allow_loops: bool):
     else:
         pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
     weights = (0,) * nv
-    level = {b"seed": ()}
-    for step in range(ne):
-        nxt = {}
-        for edges in level.values():
-            ekey, _, _ = canonicalize(weights, edges, (), False)
-            for e in pairs:
+    level = [((), canonicalize(weights, (), (), False)[2])]
+    for _ in range(ne):
+        nxt = []
+        for edges, gens in level:
+            for e in _pair_orbit_representatives(pairs, gens):
                 child = tuple(sorted(edges + (e,)))
                 if _b1_bound(nv, child) > max_b1:
                     continue
-                key, _, _ = canonicalize(weights, child, (), False)
-                if key in nxt:
-                    continue
-                parent = decode_key(key).edges[:-1]
-                pkey, _, _ = canonicalize(weights, parent, (), False)
-                if pkey == ekey:
-                    nxt[key] = decode_key(key).edges
+                key, vperm, child_gens = canonicalize(weights, child, (), False)
+                child_edges = decode_key(key).edges
+                a, b = sorted((vperm[e[0]], vperm[e[1]]))
+                if (a, b) in _pair_orbit(child_edges[-1], child_gens):
+                    nxt.append((child_edges, child_gens))
         level = nxt
     out = []
-    for edges in sorted(level.values()):
-        g = Graph(weights, edges)
-        if not is_connected(g):
-            continue
-        _, _, auts = canonicalize(weights, edges, (), False)
-        out.append((edges, auts))
+    for edges, gens in sorted(level, key=lambda entry: entry[0]):
+        if is_connected(Graph(weights, edges)):
+            out.append((edges, group_closure(gens, nv)))
     _core_cache[cache_key] = out
     return out
+
+
+def _pair_orbit_representatives(pairs, gens):
+    """The first pair of ``pairs`` in each orbit of the group ``gens``
+    generate, in order."""
+    seen = set()
+    reps = []
+    for p in pairs:
+        if p not in seen:
+            reps.append(p)
+            seen |= _pair_orbit(p, gens)
+    return reps
+
+
+def _pair_orbit(pair, gens):
+    orbit = {pair}
+    frontier = [pair]
+    while frontier:
+        (i, j) = frontier.pop()
+        for g in gens:
+            a, b = g[i], g[j]
+            q = (a, b) if a <= b else (b, a)
+            if q not in orbit:
+                orbit.add(q)
+                frontier.append(q)
+    return orbit
 
 
 def _b1_bound(nv, edges):
@@ -200,9 +232,9 @@ def generate_marked(g: int, labels, profile: StabilityProfile | None = None,
         results = _map_maybe_threads(
             lambda core: _marked_decorations(core, labels, profile), cores, threads)
         for result in results:
-            for key in result:
+            for key, gens in result:
                 if key not in found:
-                    found[key] = None
+                    found[key] = gens
                     if max_cells is not None and len(found) > max_cells:
                         raise ResourceCapExceeded(
                             f"marked catalog for (g={g}, n={n}) exceeds {max_cells} cells")
@@ -228,8 +260,8 @@ def _marked_decorations(core, labels, profile):
         graph = Graph(weights, edges, marks)
         if not is_stable(graph, profile):
             continue
-        key, _, _ = canonicalize(weights, edges, marks, False)
-        out.append(key)
+        key, _, gens = canonicalize(weights, edges, marks, False)
+        out.append((key, gens))
     return out
 
 
@@ -252,9 +284,9 @@ def generate_oriented(g: int, labels, profile: StabilityProfile | None = None,
         results = _map_maybe_threads(
             lambda core: _oriented_decorations(core, labels, profile), cores, threads)
         for result in results:
-            for key in result:
+            for key, gens in result:
                 if key not in found:
-                    found[key] = None
+                    found[key] = gens
                     if max_cells is not None and len(found) > max_cells:
                         raise ResourceCapExceeded(
                             f"oriented catalog for (g={g}, n={n}) exceeds {max_cells} cells")
@@ -362,8 +394,8 @@ def _oriented_decorations(core, labels, profile):
             graph = Graph(weights, es, marks, directed=True)
             if not is_stable(graph, profile):
                 continue
-            key, _, _ = canonicalize(weights, tuple(es), marks, True)
-            results.append(key)
+            key, _, gens = canonicalize(weights, tuple(es), marks, True)
+            results.append((key, gens))
 
     def _directed_part_acyclic():
         indeg = [0] * nv
@@ -397,17 +429,20 @@ def _oriented_decorations(core, labels, profile):
 # -- shared assembly -----------------------------------------------------------------
 
 def _build_catalog(flavor, g, labels, profile, found):
+    """Catalog from ``found``: canonical key -> automorphism generators.
+    Kill flags are read off the generators, as both signs are homomorphisms
+    (the edge sign once parallel bundles, which kill outright, are ruled out)."""
     strata = {}
     for key in sorted(found):
         graph = decode_key(key)
+        gens = found[key]
         deg = graph.n_edges if flavor == "marked" else graph.n_vertices
-        _, _, auts = canonicalize(graph.weights, graph.edges, graph.marks, graph.directed)
         if flavor == "marked":
-            killed = edge_orientation_killed(graph, auts)
+            killed = edge_orientation_killed(graph, gens)
         else:
-            killed = any(perm_parity(a) < 0 for a in auts)
+            killed = any(perm_parity(a) < 0 for a in gens)
         strata.setdefault(deg, []).append(
-            CatalogEntry(key=key, killed=killed, aut_order=automorphism_count(graph, auts)))
+            CatalogEntry(key=key, killed=killed, aut_order=automorphism_count(graph, gens)))
     return GraphCatalog(flavor=flavor, genus=g, labels=labels,
                         profile=profile, strata=strata)
 
@@ -531,17 +566,21 @@ def load_catalog(path: str) -> GraphCatalog:
     try:
         with open(os.path.join(path, "index.json")) as fh:
             index = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise GraphError(f"cannot read catalog index at {path}: {exc}") from exc
-    profile = (StabilityProfile.marked() if index["flavor"] == "marked"
-               else StabilityProfile.oriented(strict=index["profile"].get("strict", False)))
-    cat = GraphCatalog(flavor=index["flavor"], genus=index["genus"],
-                       labels=tuple(index["labels"]), profile=profile,
-                       version=index.get("version", 0))
-    for deg_s, files in sorted(index["strata"].items(), key=lambda kv: int(kv[0])):
+        flavor = index["flavor"]
+        profile = (StabilityProfile.marked() if flavor == "marked"
+                   else StabilityProfile.oriented(strict=index["profile"].get("strict", False)))
+        cat = GraphCatalog(flavor=flavor, genus=index["genus"],
+                           labels=tuple(index["labels"]), profile=profile,
+                           version=index.get("version", 0))
+        strata = sorted(
+            (int(deg_s), [(rec["file"], rec["killed"], rec["aut_order"]) for rec in files])
+            for deg_s, files in index["strata"].items())
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise GraphError(f"cannot read catalog index at {path}: {exc!r}") from exc
+    for deg, files in strata:
         entries = []
-        for rec in files:
-            fp = os.path.join(path, rec["file"])
+        for name, killed, aut_order in files:
+            fp = os.path.join(path, name)
             try:
                 with open(fp) as fh:
                     graph = graph_from_json(fh.read())
@@ -550,36 +589,65 @@ def load_catalog(path: str) -> GraphCatalog:
             cf = canonical_form(graph)
             if not is_stable(graph, profile) or genus(graph) != cat.genus:
                 raise GraphError(f"catalog file violates invariants: {fp}")
-            entries.append(CatalogEntry(key=cf.key, killed=rec["killed"],
-                                        aut_order=rec["aut_order"]))
+            entries.append(CatalogEntry(key=cf.key, killed=killed, aut_order=aut_order))
         keys = [e.key for e in entries]
         if keys != sorted(keys):
             entries.sort(key=lambda e: e.key)
-        cat.strata[int(deg_s)] = entries
+        cat.strata[deg] = entries
     return cat
 
 
 def cache_path(flavor: str, g: int, labels, profile: StabilityProfile) -> str | None:
+    """Cache directory for a catalog under ``OGCLAB_CACHE``, or None.  The
+    name holds the marking labels; the usual labels 1..n are written ``n<n>``."""
     root = os.environ.get("OGCLAB_CACHE")
     if not root:
         return None
+    labels = tuple(sorted(int(l) for l in labels))
+    if labels == tuple(range(1, len(labels) + 1)):
+        marking = f"n{len(labels)}"
+    else:
+        marking = "l" + "-".join(str(l) for l in labels)
     strict = "strict" if profile.require_marking_everywhere else "std"
-    name = f"{flavor}_g{g}_n{len(tuple(labels))}_{strict}_v{GENERATOR_VERSION}"
+    name = f"{flavor}_g{g}_{marking}_{strict}_v{GENERATOR_VERSION}"
     return os.path.join(root, name)
 
 
 def generate_or_load(flavor: str, g: int, labels,
                      profile: StabilityProfile | None = None,
                      max_cells: int | None = None, threads: int = 1) -> GraphCatalog:
-    """Generate a catalog, reusing the OGCLAB_CACHE directory when set."""
+    """Generate a catalog, reusing the OGCLAB_CACHE directory when set.  A
+    cached catalog that cannot be read, or that is for other parameters, is
+    generated afresh and replaced."""
     if profile is None:
         profile = (StabilityProfile.marked() if flavor == "marked"
                    else StabilityProfile.oriented())
     path = cache_path(flavor, g, labels, profile)
     if path and os.path.isdir(path):
-        return load_catalog(path)
+        try:
+            cat = load_catalog(path)
+        except GraphError:
+            pass        # unreadable or partial: generated again below
+        else:
+            if (cat.flavor, cat.genus, cat.labels) == (flavor, g, _check_pair(g, labels)):
+                return cat
     gen = generate_marked if flavor == "marked" else generate_oriented
     cat = gen(g, labels, profile, max_cells=max_cells, threads=threads)
     if path:
-        save_catalog(cat, path)
+        _store(cat, path)
     return cat
+
+
+def _store(cat: GraphCatalog, path: str) -> None:
+    """Write ``cat`` to a temporary directory beside ``path`` and rename it
+    into place, so ``path`` never holds a partial catalog."""
+    tmp = f"{path}.tmp-{os.getpid()}"
+    shutil.rmtree(tmp, ignore_errors=True)
+    try:
+        save_catalog(cat, tmp)
+        shutil.rmtree(path, ignore_errors=True)
+        # fails only when a concurrent run has put its own copy there first
+        with contextlib.suppress(OSError):
+            os.replace(tmp, path)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)

@@ -26,11 +26,14 @@ EXIT_CAP = 3
 
 def _parse_range(text: str):
     text = text.strip()
-    for sep in ("..", "-"):
-        if sep in text and not text.startswith("-"):
-            lo, hi = text.split(sep, 1)
-            return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    try:
+        for sep in ("..", "-"):
+            if sep in text and not text.startswith("-"):
+                lo, hi = text.split(sep, 1)
+                return list(range(int(lo), int(hi) + 1))
+        return [int(text)]
+    except ValueError:
+        raise GraphError(f"not an integer or range: {text!r}") from None
 
 
 def _pairs(args):

@@ -6,10 +6,13 @@ import pytest
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 import oracle
+import reference_canon
 
 from ogclab.graphs import Graph, GraphError
-from ogclab.canonical import (Orientation, canonical_form, decode_key,
-                              encode_key, orientation_sign, perm_parity)
+from ogclab.canonical import (Orientation, canonical_form, canonicalize,
+                              decode_key, edge_orientation_killed, encode_key,
+                              group_closure, orientation_sign, perm_parity)
+from ogclab.catalogs import connected_cores
 
 
 def relabel(g, perm, rng):
@@ -149,3 +152,93 @@ def test_orientation_validation():
         Orientation("edges", [0, 0, 1])
     with pytest.raises(GraphError):
         Orientation("sides", [0, 1])
+
+
+# -- pruned search against the exhaustive reference ----------------------------
+
+def _random_graph(rng):
+    nv = rng.randint(1, 8)
+    directed = rng.random() < 0.4
+    edges = []
+    for _ in range(rng.randint(0, 10)):
+        u, v = rng.randrange(nv), rng.randrange(nv)
+        if not directed and u > v:
+            u, v = v, u
+        edges.append((u, v))
+    rng.shuffle(edges)
+    marks = sorted((l, rng.randrange(nv)) for l in rng.sample(range(1, 7), rng.randint(0, 4)))
+    weights = [rng.choice((0, 0, 0, 1)) for _ in range(nv)]
+    return weights, edges, marks, directed
+
+
+def _special_graphs():
+    yield [0] * 8, [], [], False                                # |Aut| = 8!
+    yield [0] * 5, [(0, 1), (2, 3)], [], False                  # isolated vertex
+    for k in range(2, 8):
+        yield [0] * (k + 1), [(0, i) for i in range(1, k + 1)], [], False   # star
+    yield [0] * 7, [(0, i) for i in range(1, 7)], [(1, 0)], True   # directed marked star
+    yield [0, 0, 0], [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2), (2, 2)], [], False
+    yield [0] * 6, [(i, (i + 1) % 6) for i in range(6)], [], False          # hexagon
+    yield [0] * 6, [(i, (i + 1) % 6) for i in range(6)], [(1, 0), (2, 3)], True
+    yield [0] * 4, [(i, j) for i in range(4) for j in range(i + 1, 4)], [], False   # K4
+    yield [0] * 8, [(i, j) for i in range(4) for j in range(4, 8)], [], False   # K4,4
+
+
+def _check_against_reference(weights, edges, marks, directed):
+    key, vperm, auts = reference_canon.canonicalize(weights, edges, marks, directed)
+    key2, vperm2, gens = canonicalize(weights, edges, marks, directed)
+    assert key2 == key
+    assert vperm2 == vperm
+    assert group_closure(gens, len(weights)) == auts
+    cf = canonical_form(Graph(weights, edges, marks, directed))
+    assert cf.auts == auts
+    return auts
+
+
+def test_pruned_search_matches_exhaustive_reference():
+    rng = random.Random(20221030)
+    for _ in range(600):
+        _check_against_reference(*_random_graph(rng))
+
+
+def test_pruned_search_on_symmetric_graphs():
+    orders = [len(_check_against_reference(*args)) for args in _special_graphs()]
+    assert orders[0] == 40320
+    assert orders[2:8] == [2, 6, 24, 120, 720, 5040]
+
+
+def test_pruned_search_invariant_under_relabeling():
+    rng = random.Random(5)
+    for weights, edges, marks, directed in _special_graphs():
+        g = Graph(weights, edges, marks, directed)
+        cf = canonical_form(g)
+        for _ in range(4):
+            perm = list(range(g.n_vertices))
+            rng.shuffle(perm)
+            again = canonical_form(relabel(g, perm, rng))
+            assert again.key == cf.key
+            assert again.auts == cf.auts
+
+
+def test_kill_flags_from_generators_match_full_group():
+    rng = random.Random(11)
+    for _ in range(300):
+        g = Graph(*_random_graph(rng))
+        cf = canonical_form(g)
+        assert cf.killed("vertices") == any(perm_parity(a) < 0 for a in cf.auts)
+        full = edge_orientation_killed(cf.graph, cf.auts)
+        assert cf.killed("edges") == full
+
+
+def test_core_counts_pinned():
+    counts = [len(connected_cores(nv, nv, 1, True)) for nv in range(1, 9)]
+    assert counts == [1, 2, 4, 9, 20, 49, 118, 300]
+
+
+@pytest.mark.parametrize("args", [
+    (1, 1, 1, True), (3, 3, 1, True), (5, 5, 1, True), (6, 6, 1, True),
+    (4, 6, 3, True), (5, 6, 2, True), (5, 5, 1, False), (5, 6, 2, False),
+    (2, 4, 3, True), (4, 3, 0, False),
+])
+def test_cores_match_reference(args):
+    assert connected_cores(*args) == reference_canon.connected_cores(*args)

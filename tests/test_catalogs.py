@@ -1,4 +1,5 @@
 """Catalog generation, spanning forests, contraction targets, persistence."""
+import os
 import sys
 from pathlib import Path
 
@@ -242,3 +243,48 @@ def test_cache_env_round_trip(tmp_path, monkeypatch):
     assert (tmp_path / "marked_g1_n2_std_v1").is_dir()
     b = generate_or_load("marked", 1, [1, 2])
     assert [e.key for e in a.entries()] == [e.key for e in b.entries()]
+
+
+def test_cache_keyed_on_label_tuple(tmp_path, monkeypatch):
+    monkeypatch.setenv("OGCLAB_CACHE", str(tmp_path))
+    a = generate_or_load("marked", 1, (1, 2))
+    b = generate_or_load("marked", 1, (5, 7))
+    assert a.labels == (1, 2) and b.labels == (5, 7)
+    assert all(entry.graph.labels == (5, 7) for entry in b.entries())
+    assert (tmp_path / "marked_g1_l5-7_std_v1").is_dir()
+    again = generate_or_load("marked", 1, (7, 5))
+    assert [e.key for e in again.entries()] == [e.key for e in b.entries()]
+
+
+def test_index_less_cache_directory_is_regenerated(tmp_path, monkeypatch):
+    monkeypatch.setenv("OGCLAB_CACHE", str(tmp_path))
+    partial = tmp_path / "oriented_g1_n2_std_v1"
+    partial.mkdir()
+    (partial / "oriented_d02_000000.json").write_text("{}")
+    cat = generate_or_load("oriented", 1, (1, 2))
+    assert cat.total() == KNOWN_TOTALS[("oriented", 1, 2)]
+    back = load_catalog(str(partial))
+    assert [e.key for e in back.entries()] == [e.key for e in cat.entries()]
+
+
+def test_stale_cache_for_other_labels_is_regenerated(tmp_path, monkeypatch):
+    monkeypatch.setenv("OGCLAB_CACHE", str(tmp_path))
+    save_catalog(generate_marked(1, (3, 4)), str(tmp_path / "marked_g1_n2_std_v1"))
+    cat = generate_or_load("marked", 1, (1, 2))
+    assert cat.labels == (1, 2)
+    assert load_catalog(str(tmp_path / "marked_g1_n2_std_v1")).labels == (1, 2)
+
+
+def test_interrupted_cache_write_leaves_no_catalog(tmp_path, monkeypatch):
+    import ogclab.catalogs as catalogs
+    monkeypatch.setenv("OGCLAB_CACHE", str(tmp_path))
+
+    def interrupted(cat, path):
+        os.makedirs(path, exist_ok=True)
+        (Path(path) / "marked_d01_000000.json").write_text("{}")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(catalogs, "save_catalog", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        generate_or_load("marked", 1, (1,))
+    assert list(tmp_path.iterdir()) == []

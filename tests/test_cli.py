@@ -114,3 +114,16 @@ def test_cache_reused_between_commands(tmp_path, capsys, monkeypatch):
     assert run(["betti", "-g", "1", "-n", "1", "--flavor", "marked"]) == 0
     out = capsys.readouterr().out
     assert "betti" in out
+
+
+def test_non_integer_range_is_usage_error(capsys):
+    assert run(["betti", "-g", "x", "-n", "1"]) == 2
+    assert run(["enumerate", "-g", "1", "-n", "1..y"]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_partial_cache_directory_does_not_block_later_runs(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OGCLAB_CACHE", str(tmp_path / "cache"))
+    (tmp_path / "cache" / "marked_g1_n1_std_v1").mkdir(parents=True)
+    assert run(["betti", "-g", "1", "-n", "1", "--flavor", "marked"]) == 0
+    assert (tmp_path / "cache" / "marked_g1_n1_std_v1" / "index.json").is_file()
