@@ -5,11 +5,10 @@ complexes, their cohomology, and the spanning-forest chain map between them.
 from .graphs import (Graph, GraphError, StabilityProfile, contract_edge,
                      contract_loop, genus, graph_from_json, graph_to_json,
                      is_acyclic, is_connected, is_stable)
-from .canonical import (CanonicalForm, Orientation, canonical_form,
-                        orientation_sign, perm_parity)
-from .catalogs import (GraphCatalog, ResourceCapExceeded, contraction_targets,
-                       generate_marked, generate_or_load, generate_oriented,
-                       load_catalog, save_catalog, spanning_forests)
+from .canonical import CanonicalForm, canonical_form, perm_parity
+from .catalogs import (GraphCatalog, ResourceCapExceeded, generate_marked,
+                       generate_or_load, generate_oriented, load_catalog,
+                       save_catalog, spanning_forests)
 from .linalg import (RankError, SparseIntMatrix, kernel_basis, multiply,
                      read_matrix_market, solve_columns, write_matrix_market)
 from .complexes import (BettiTable, ComplexError, GradedComplex, betti,
@@ -25,9 +24,8 @@ __version__ = "1.0.0"
 __all__ = [
     "Graph", "GraphError", "StabilityProfile", "contract_edge", "contract_loop",
     "genus", "graph_from_json", "graph_to_json", "is_acyclic", "is_connected",
-    "is_stable", "CanonicalForm", "Orientation", "canonical_form",
-    "orientation_sign", "perm_parity", "GraphCatalog", "ResourceCapExceeded",
-    "contraction_targets", "generate_marked", "generate_or_load",
+    "is_stable", "CanonicalForm", "canonical_form", "perm_parity",
+    "GraphCatalog", "ResourceCapExceeded", "generate_marked", "generate_or_load",
     "generate_oriented", "load_catalog", "save_catalog", "spanning_forests",
     "RankError", "SparseIntMatrix", "kernel_basis", "multiply",
     "read_matrix_market", "solve_columns", "write_matrix_market", "BettiTable",

@@ -1,6 +1,6 @@
 """Canonical labelling of marked weighted (di)graphs by partition refinement
-with individualisation, plus the automorphism and sign bookkeeping the chain
-complexes need.
+with individualisation, plus the automorphism bookkeeping the chain complexes
+need: relabelling maps, kill flags and automorphism counts.
 
 Two graphs are isomorphic (weights, directions and marking labels preserved)
 iff their canonical byte keys are equal.  The canonical form is the least key
@@ -298,20 +298,6 @@ class CanonicalForm:
                 self._src.edges, self.vertex_map, self.graph.edges, self._src.directed)
         return self._edge_map
 
-    def vertex_sign(self) -> int:
-        """Parity of ``vertex_map`` relative to the identity reference."""
-        return perm_parity(self.vertex_map)
-
-    def edge_sign(self) -> int:
-        return perm_parity(self.edge_map)
-
-    def killed(self, kind: str) -> bool:
-        if kind == "edges":
-            return edge_orientation_killed(self.graph, self.gens)
-        if kind == "vertices":
-            return any(perm_parity(a) < 0 for a in self.gens)
-        raise GraphError("orientation kind must be 'edges' or 'vertices'")
-
     def aut_order(self) -> int:
         """Order of the half-edge level automorphism group."""
         return automorphism_count(self.graph, self.gens)
@@ -367,38 +353,3 @@ def automorphism_count(g: Graph, gens) -> int:
     for c in bundles.values():
         bundle_factor *= factorial(c)
     return len(group_closure(gens, g.n_vertices)) * bundle_factor * (2 ** loops)
-
-
-# -- orientation data -----------------------------------------------------------
-
-class Orientation:
-    """Ordering of the reference set (edges or vertices) with a sign."""
-    __slots__ = ("kind", "reference", "sign")
-
-    def __init__(self, kind, reference, sign=1):
-        if kind not in ("edges", "vertices"):
-            raise GraphError("orientation kind must be 'edges' or 'vertices'")
-        if sign not in (1, -1):
-            raise GraphError("orientation sign must be +-1")
-        self.kind = kind
-        self.reference = tuple(reference)
-        self.sign = sign
-        n = len(self.reference)
-        if sorted(self.reference) != list(range(n)):
-            raise GraphError("orientation reference must be a permutation")
-
-
-def orientation_sign(g: Graph, orientation: Orientation, aut) -> int:
-    """Sign of the permutation a vertex automorphism induces on the
-    orientation's reference list."""
-    n = g.n_vertices
-    if len(aut) != n:
-        raise GraphError("automorphism has wrong length")
-    if orientation.kind == "vertices":
-        if len(orientation.reference) != n:
-            raise GraphError("vertex orientation has wrong length")
-        return perm_parity([aut[v] for v in range(n)])
-    if len(orientation.reference) != g.n_edges:
-        raise GraphError("edge orientation has wrong length")
-    em = induced_edge_map(g.edges, tuple(aut), g.edges, g.directed)
-    return perm_parity(em)

@@ -25,12 +25,10 @@ import itertools
 import json
 import os
 import shutil
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .graphs import (Graph, GraphError, StabilityProfile, genus, is_acyclic,
-                     is_connected, is_stable, contract_edge, graph_from_json,
-                     graph_to_json)
+from .graphs import (Graph, GraphError, StabilityProfile, genus, is_connected,
+                     is_stable, graph_from_json, graph_to_json)
 from .canonical import (canonicalize, decode_key, canonical_form, group_closure,
                         automorphism_count, edge_orientation_killed, perm_parity)
 
@@ -219,7 +217,7 @@ def _orbit_minimal(vec, perms):
 # -- marked catalog ---------------------------------------------------------------
 
 def generate_marked(g: int, labels, profile: StabilityProfile | None = None,
-                    max_cells: int | None = None, threads: int = 1) -> GraphCatalog:
+                    max_cells: int | None = None) -> GraphCatalog:
     labels = _check_pair(g, labels)
     if profile is None:
         profile = StabilityProfile.marked()
@@ -229,10 +227,8 @@ def generate_marked(g: int, labels, profile: StabilityProfile | None = None,
     for nv in range(1, vmax + 1):
         ne = nv + g - 1
         cores = connected_cores(nv, ne, g, allow_loops=True)
-        results = _map_maybe_threads(
-            lambda core: _marked_decorations(core, labels, profile), cores, threads)
-        for result in results:
-            for key, gens in result:
+        for core in cores:
+            for key, gens in _marked_decorations(core, labels, profile):
                 if key not in found:
                     found[key] = gens
                     if max_cells is not None and len(found) > max_cells:
@@ -271,7 +267,7 @@ SUB, FWD, BWD = 0, 1, 2
 
 
 def generate_oriented(g: int, labels, profile: StabilityProfile | None = None,
-                      max_cells: int | None = None, threads: int = 1) -> GraphCatalog:
+                      max_cells: int | None = None) -> GraphCatalog:
     labels = _check_pair(g, labels)
     if profile is None:
         profile = StabilityProfile.oriented()
@@ -281,10 +277,8 @@ def generate_oriented(g: int, labels, profile: StabilityProfile | None = None,
     for nv in range(1, vamax + 1):
         ne = nv + g - 1
         cores = connected_cores(nv, ne, g, allow_loops=True)
-        results = _map_maybe_threads(
-            lambda core: _oriented_decorations(core, labels, profile), cores, threads)
-        for result in results:
-            for key, gens in result:
+        for core in cores:
+            for key, gens in _oriented_decorations(core, labels, profile):
                 if key not in found:
                     found[key] = gens
                     if max_cells is not None and len(found) > max_cells:
@@ -429,29 +423,26 @@ def _oriented_decorations(core, labels, profile):
 # -- shared assembly -----------------------------------------------------------------
 
 def _build_catalog(flavor, g, labels, profile, found):
-    """Catalog from ``found``: canonical key -> automorphism generators.
-    Kill flags are read off the generators, as both signs are homomorphisms
-    (the edge sign once parallel bundles, which kill outright, are ruled out)."""
+    """Catalog from ``found``: canonical key -> automorphism generators."""
     strata = {}
     for key in sorted(found):
         graph = decode_key(key)
-        gens = found[key]
         deg = graph.n_edges if flavor == "marked" else graph.n_vertices
-        if flavor == "marked":
-            killed = edge_orientation_killed(graph, gens)
-        else:
-            killed = any(perm_parity(a) < 0 for a in gens)
-        strata.setdefault(deg, []).append(
-            CatalogEntry(key=key, killed=killed, aut_order=automorphism_count(graph, gens)))
+        strata.setdefault(deg, []).append(_entry(flavor, key, graph, found[key]))
     return GraphCatalog(flavor=flavor, genus=g, labels=labels,
                         profile=profile, strata=strata)
 
 
-def _map_maybe_threads(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _entry(flavor, key, graph, gens):
+    """Entry for the canonical ``graph`` with automorphism generators
+    ``gens``.  Kill flags are read off the generators, as both signs are
+    homomorphisms (the edge sign once parallel bundles, which kill outright,
+    are ruled out)."""
+    if flavor == "marked":
+        killed = edge_orientation_killed(graph, gens)
+    else:
+        killed = any(perm_parity(a) < 0 for a in gens)
+    return CatalogEntry(key=key, killed=killed, aut_order=automorphism_count(graph, gens))
 
 
 # -- spanning forests -----------------------------------------------------------------
@@ -492,52 +483,6 @@ def spanning_forests(g: Graph):
             if all(counts.get(r, 0) == 1 for r in roots):
                 res.append(tuple(sub))
     return res
-
-
-# -- contraction targets ----------------------------------------------------------------
-
-@dataclass
-class ContractionTarget:
-    edge: int
-    status: str            # "ok" or "exits"
-    key: bytes | None = None
-    position: tuple | None = None   # (degree, index) in the catalog basis
-    vertex_map: tuple | None = None
-
-
-def contraction_targets(g: Graph, catalog: GraphCatalog | None = None):
-    """Classify every edge contraction of ``g``: canonical target and catalog
-    position for honest weight-0 contractions, ``exits`` for loop or
-    parallel-bundle collapses (weight would rise) and for contractions that
-    leave the stable locus."""
-    if catalog is not None:
-        base = genus(g)
-        if base != catalog.genus:
-            raise GraphError("graph genus does not match catalog")
-    index = {}
-    if catalog is not None:
-        for deg in catalog.degrees():
-            for i, entry in enumerate(catalog.strata[deg]):
-                index[entry.key] = (deg, i)
-    profile = (StabilityProfile.oriented() if g.directed
-               else StabilityProfile.marked())
-    out = []
-    for e in range(g.n_edges):
-        if g.is_loop(e) or g.parallel_count(e) > 0:
-            out.append(ContractionTarget(edge=e, status="exits"))
-            continue
-        target = contract_edge(g, e)
-        if g.directed and not is_acyclic(target):
-            out.append(ContractionTarget(edge=e, status="exits"))
-            continue
-        if not is_stable(target, profile):
-            out.append(ContractionTarget(edge=e, status="exits"))
-            continue
-        cf = canonical_form(target)
-        out.append(ContractionTarget(edge=e, status="ok", key=cf.key,
-                                     position=index.get(cf.key),
-                                     vertex_map=cf.vertex_map))
-    return out
 
 
 # -- persistence and cache ----------------------------------------------------------------
@@ -589,7 +534,10 @@ def load_catalog(path: str) -> GraphCatalog:
             cf = canonical_form(graph)
             if not is_stable(graph, profile) or genus(graph) != cat.genus:
                 raise GraphError(f"catalog file violates invariants: {fp}")
-            entries.append(CatalogEntry(key=cf.key, killed=killed, aut_order=aut_order))
+            entry = _entry(flavor, cf.key, cf.graph, cf.gens)
+            if (entry.killed, entry.aut_order) != (killed, aut_order):
+                raise GraphError(f"index disagrees with the automorphisms of {fp}")
+            entries.append(entry)
         keys = [e.key for e in entries]
         if keys != sorted(keys):
             entries.sort(key=lambda e: e.key)
@@ -615,10 +563,11 @@ def cache_path(flavor: str, g: int, labels, profile: StabilityProfile) -> str | 
 
 def generate_or_load(flavor: str, g: int, labels,
                      profile: StabilityProfile | None = None,
-                     max_cells: int | None = None, threads: int = 1) -> GraphCatalog:
+                     max_cells: int | None = None) -> GraphCatalog:
     """Generate a catalog, reusing the OGCLAB_CACHE directory when set.  A
     cached catalog that cannot be read, or that is for other parameters, is
-    generated afresh and replaced."""
+    generated afresh and replaced.  ``max_cells`` caps a loaded catalog as it
+    caps a generated one."""
     if profile is None:
         profile = (StabilityProfile.marked() if flavor == "marked"
                    else StabilityProfile.oriented())
@@ -630,9 +579,13 @@ def generate_or_load(flavor: str, g: int, labels,
             pass        # unreadable or partial: generated again below
         else:
             if (cat.flavor, cat.genus, cat.labels) == (flavor, g, _check_pair(g, labels)):
+                if max_cells is not None and cat.total() > max_cells:
+                    raise ResourceCapExceeded(
+                        f"{flavor} catalog for (g={g}, n={len(cat.labels)}) "
+                        f"exceeds {max_cells} cells")
                 return cat
     gen = generate_marked if flavor == "marked" else generate_oriented
-    cat = gen(g, labels, profile, max_cells=max_cells, threads=threads)
+    cat = gen(g, labels, profile, max_cells=max_cells)
     if path:
         _store(cat, path)
     return cat

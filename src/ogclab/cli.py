@@ -57,8 +57,7 @@ def cmd_enumerate(args) -> int:
     summary = []
     for (g, n) in _pairs(args):
         for flavor in flavors:
-            cat = generate_or_load(flavor, g, _labels(n), max_cells=args.max_cells,
-                                   threads=args.threads)
+            cat = generate_or_load(flavor, g, _labels(n), max_cells=args.max_cells)
             rel = f"{flavor}_g{g}_n{n}"
             save_catalog(cat, os.path.join(args.out, rel))
             counts = {str(k): len(cat.strata[k]) for k in cat.degrees()}
@@ -72,14 +71,15 @@ def cmd_enumerate(args) -> int:
 
 
 def _build(flavor, g, n, args):
-    cat = generate_or_load(flavor, g, _labels(n), max_cells=args.max_cells,
-                           threads=args.threads)
+    cat = generate_or_load(flavor, g, _labels(n), max_cells=args.max_cells)
     if flavor == "marked":
         return build_marked_complex(cat)
     return build_oriented_complex(cat)
 
 
 def cmd_betti(args) -> int:
+    if args.export_matrices and not args.out:
+        raise GraphError("--export-matrices needs --out")
     flavors = ["marked", "oriented"] if args.flavor == "both" else [args.flavor]
     rows = []
     tables = []
@@ -117,8 +117,8 @@ def cmd_verify_zivkovic(args) -> int:
     all_ok = True
     reports = []
     for (g, n) in _pairs(args):
-        report = run_verification(g, _labels(n), threads=args.threads,
-                                  seed=args.seed, max_cells=args.max_cells)
+        report = run_verification(g, _labels(n), seed=args.seed,
+                                  max_cells=args.max_cells)
         reports.append(report)
         all_ok = all_ok and report.passed
         if args.out:
@@ -144,10 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of markings or range, e.g. 1 or 1..3")
         p.add_argument("--flavor", choices=["marked", "oriented", "both"],
                        default="both")
-        p.add_argument("--profile", choices=["standard", "strict"],
-                       default="standard")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--max-cells", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=["csv", "json"], default="csv")

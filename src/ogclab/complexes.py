@@ -7,9 +7,13 @@ matrix in degree ``k`` maps degree-``k`` generators to degree-``k-1``
 generators by summing admissible edge contractions with signs.  The
 cohomological vertex-splitting map is the transpose.
 
-Contractions that would raise a weight (loops, parallel bundles) or leave the
-stable acyclic locus are dropped; generators carrying an orientation-reversing
-automorphism are excluded from the bases.
+Both differentials run one column loop (``_assemble``) over one admissibility
+rule: ``graphs.contract_edge`` on every edge that is neither a loop nor in a
+parallel bundle (either would raise a weight), keeping targets that are stable
+and, for directed graphs, acyclic.  Only the sign differs between the flavours.
+Generators carrying an orientation-reversing automorphism are excluded from
+the bases, and a contraction onto one of them contributes zero; a target
+missing from the catalog altogether raises ``ComplexError``.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .graphs import Graph, StabilityProfile, is_acyclic, is_stable
+from .graphs import Graph, StabilityProfile, contract_edge, is_acyclic, is_stable
 from .canonical import decode_key, canonical_form, perm_parity
 from .catalogs import GraphCatalog
 from .linalg import SparseIntMatrix
@@ -72,79 +76,23 @@ class GradedComplex:
         return self._ranks[k]
 
 
-def _base_strata(catalog: GraphCatalog):
-    basis = {}
-    index = {}
-    for deg in catalog.degrees():
-        keys = [e.key for e in catalog.strata[deg] if not e.killed]
-        basis[deg] = keys
-        for i, key in enumerate(keys):
-            index[key] = (deg, i)
-    return basis, index
-
-
 def build_marked_complex(catalog: GraphCatalog, d_parity: int = 0) -> GradedComplex:
-    """Differential: sum of single contractions of non-loop, non-parallel
-    edges with the sign ``(-1)^i`` for removing the ``i``-th edge, transported
+    """Differential: sum of admissible contractions, the ``i``-th edge with
+    the sign ``(-1)^i`` for removing it from the edge order, transported
     through the canonical relabelling."""
     if catalog.flavor != "marked":
         raise ComplexError("build_marked_complex needs a marked catalog")
     if d_parity % 2 != 0:
         raise ComplexError("the marked complex takes an even parity")
-    basis, index = _base_strata(catalog)
-    cx = GradedComplex(flavor="marked", genus=catalog.genus, labels=catalog.labels,
-                       d_parity=d_parity, basis=basis, _index=index)
-    for k in cx.degrees():
-        mat = SparseIntMatrix(cx.dim(k - 1), cx.dim(k))
-        for col, key in enumerate(basis[k]):
-            g = decode_key(key)
-            for i, sign, tkey, vperm, emap in _marked_contractions(g):
-                pos = index.get(tkey)
-                if pos is None:
-                    continue
-                (kk, row) = pos
-                if kk != k - 1:
-                    raise ComplexError("contraction changed the degree by != 1")
-                mat.add(row, col, sign)
-        cx.diffs[k] = mat
-    _check_d_squared(cx)
-    return cx
-
-
-def _marked_contractions(g: Graph):
-    """Yield ``(edge, sign, target_key, vperm, edge_map)`` for admissible
-    single contractions of ``g``."""
-    for i in range(g.n_edges):
-        if g.is_loop(i) or g.parallel_count(i) > 0:
-            continue
-        target = _contract_keep_order(g, i)
-        cf = canonical_form(target)
-        sign = (-1) ** i * perm_parity(cf.edge_map)
-        yield i, sign, cf.key, cf.vertex_map, cf.edge_map
-
-
-def _contract_keep_order(g: Graph, e: int) -> Graph:
-    (a, b) = g.edges[e]
-    lo, hi = min(a, b), max(a, b)
-
-    def rl(v):
-        if v == hi:
-            v = lo
-        return v - 1 if v > hi else v
-
-    edges = [(rl(u), rl(v)) for j, (u, v) in enumerate(g.edges) if j != e]
-    marks = [(l, rl(v)) for (l, v) in g.marks]
-    weights = [w for j, w in enumerate(g.weights) if j != hi]
-    weights[rl(a)] = g.weights[a] + g.weights[b]
-    return Graph(weights, edges, marks, g.directed)
+    return _assemble(catalog, d_parity, "full", _edge_order_sign)
 
 
 def build_oriented_complex(catalog: GraphCatalog,
                            d_parity: int = 1,
                            contract_subdivider_edges: bool = True) -> GradedComplex:
-    """Differential: sum of contractions of non-parallel directed edges with
-    acyclic stable targets; the sign moves the source and target vertex to the
-    front of the vertex ordering before merging them there.
+    """Differential: sum of admissible contractions; the sign moves the
+    source and target vertex to the front of the vertex ordering before
+    merging them there.
 
     With ``contract_subdivider_edges=False`` the edges leaving a bivalent
     unmarked double-outgoing source are left uncontracted; those vertices act
@@ -157,82 +105,85 @@ def build_oriented_complex(catalog: GraphCatalog,
         raise ComplexError("build_oriented_complex needs an oriented catalog")
     if d_parity % 2 != 1:
         raise ComplexError("the oriented complex takes an odd parity")
-    basis, index = _base_strata(catalog)
     variant = "full" if contract_subdivider_edges else "subdividers_frozen"
-    cx = GradedComplex(flavor="oriented", genus=catalog.genus, labels=catalog.labels,
-                       d_parity=d_parity, basis=basis, _index=index, variant=variant)
-    profile = catalog.profile
+    return _assemble(catalog, d_parity, variant, _vertex_order_sign,
+                     freeze_subdividers=not contract_subdivider_edges)
+
+
+def _edge_order_sign(g: Graph, e: int, cf) -> int:
+    return (-1) ** e * perm_parity(cf.edge_map)
+
+
+def _vertex_order_sign(g: Graph, e: int, cf) -> int:
+    """Parity of moving the ends ``(a, b)`` of ``e`` to the front, times the
+    parity of the canonical relabelling on ``[merged] + rest``."""
+    (a, b) = g.edges[e]
+    hi = max(a, b)
+    rest = [v for v in range(g.n_vertices) if v not in (a, b)]
+    merged_first = [min(a, b)] + [v - (v > hi) for v in rest]
+    return perm_parity([a, b] + rest) * perm_parity(
+        [cf.vertex_map[x] for x in merged_first])
+
+
+def _admissible_contractions(g: Graph, profile: StabilityProfile,
+                             freeze_subdividers: bool):
+    """Yield ``(edge, target)`` for every contraction in the differential:
+    never a loop or an edge with a parallel partner (either would raise a
+    weight), and the target must be stable and, when directed, acyclic.
+    With ``freeze_subdividers`` the edges leaving a bivalent unmarked
+    double-outgoing source are skipped too."""
+    if freeze_subdividers:
+        deg, ind, out, hair = g.degree_data()
+    for i, (a, b) in enumerate(g.edges):
+        if a == b or g.parallel_count(i) > 0:
+            continue
+        if freeze_subdividers and (hair[a], ind[a], out[a], deg[a]) == (0, 0, 2, 2):
+            continue
+        target = contract_edge(g, i)
+        if g.directed and not is_acyclic(target):
+            continue
+        if is_stable(target, profile):
+            yield i, target
+
+
+def _assemble(catalog: GraphCatalog, d_parity: int, variant: str, sign,
+              freeze_subdividers: bool = False) -> GradedComplex:
+    """The one column loop behind both complexes: the column of generator
+    ``g`` in degree ``k`` sums ``sign(g, e, cf)`` over the admissible
+    contractions of ``g``, ``cf`` being the canonical form of the target.  A
+    target with an orientation-reversing automorphism is zero; one missing
+    from the catalog means the catalog is not closed under contraction, and
+    raises."""
+    basis, index, killed = {}, {}, set()
+    for deg in catalog.degrees():
+        basis[deg] = [e.key for e in catalog.strata[deg] if not e.killed]
+        killed.update(e.key for e in catalog.strata[deg] if e.killed)
+        index.update((key, (deg, i)) for i, key in enumerate(basis[deg]))
+    cx = GradedComplex(flavor=catalog.flavor, genus=catalog.genus,
+                       labels=catalog.labels, d_parity=d_parity, basis=basis,
+                       variant=variant, _index=index)
+    where = f"{cx.flavor}(g={cx.genus},n={len(cx.labels)})"
     for k in cx.degrees():
         mat = SparseIntMatrix(cx.dim(k - 1), cx.dim(k))
         for col, key in enumerate(basis[k]):
             g = decode_key(key)
-            for i, sign, tkey in _oriented_contractions(
-                    g, profile, contract_subdivider_edges):
-                pos = index.get(tkey)
+            for e, target in _admissible_contractions(g, catalog.profile,
+                                                      freeze_subdividers):
+                cf = canonical_form(target)
+                pos = index.get(cf.key)
                 if pos is None:
-                    continue
+                    if cf.key in killed:
+                        continue
+                    raise ComplexError(
+                        f"{where} degree {k}: contracting edge {e} of generator "
+                        f"{col} ({g!r}) gives {cf.graph!r}, which is not in the catalog")
                 (kk, row) = pos
                 if kk != k - 1:
                     raise ComplexError("contraction changed the degree by != 1")
-                mat.add(row, col, sign)
+                mat.add(row, col, sign(g, e, cf))
         cx.diffs[k] = mat
     _check_d_squared(cx)
     return cx
-
-
-def is_subdivider(g: Graph, v: int) -> bool:
-    """Bivalent unmarked source with two outgoing edges: the directed stand-in
-    for an undirected edge subdivision."""
-    deg, ind, out, hair = g.degree_data()
-    return hair[v] == 0 and ind[v] == 0 and out[v] == 2 and deg[v] == 2
-
-
-def _oriented_contractions(g: Graph, profile: StabilityProfile,
-                           contract_subdivider_edges: bool):
-    n = g.n_vertices
-    deg, ind, out, hair = g.degree_data()
-    for i, (a, b) in enumerate(g.edges):
-        if g.parallel_count(i) > 0:
-            continue
-        if not contract_subdivider_edges:
-            if hair[a] == 0 and ind[a] == 0 and out[a] == 2 and deg[a] == 2:
-                continue
-        target, seq_sign, ref = _contract_merged_first(g, i)
-        if not is_acyclic(target):
-            continue
-        if not is_stable(target, profile):
-            continue
-        cf = canonical_form(target)
-        sign = seq_sign * perm_parity([cf.vertex_map[x] for x in ref])
-        yield i, sign, cf.key
-
-
-def _contract_merged_first(g: Graph, e: int):
-    """Contract directed edge ``e``; returns the target, the sign of moving
-    (source, target) to the front of the vertex order, and the reference
-    sequence of target ids realising [merged, rest]."""
-    (a, b) = g.edges[e]
-    n = g.n_vertices
-    lo, hi = min(a, b), max(a, b)
-
-    def rl(v):
-        if v == hi:
-            v = lo
-        return v - 1 if v > hi else v
-
-    edges = [(rl(u), rl(v)) for j, (u, v) in enumerate(g.edges) if j != e]
-    marks = [(l, rl(v)) for (l, v) in g.marks]
-    weights = [w for j, w in enumerate(g.weights) if j != hi]
-    weights[rl(a)] = g.weights[a] + g.weights[b]
-    target = Graph(weights, edges, marks, directed=True)
-
-    seq = [a, b] + [v for v in range(n) if v not in (a, b)]
-    pos = [0] * n
-    for p, x in enumerate(seq):
-        pos[x] = p
-    seq_sign = perm_parity(pos)
-    ref = [rl(a)] + [rl(v) for v in range(n) if v not in (a, b)]
-    return target, seq_sign, ref
 
 
 def _check_d_squared(cx: GradedComplex) -> None:

@@ -11,11 +11,13 @@ A graph is stored as
   labels may sit on the same vertex,
 * ``directed`` -- flag selecting the directed interpretation.
 
-Half-edges are derived: edge ``e`` owns half-edges ``2e`` (at ``edges[e][0]``)
-and ``2e+1`` (at ``edges[e][1]``), paired by the involution ``2e <-> 2e+1``.
-For directed graphs half ``2e`` is the source half.  Marking labels behave as
-outgoing half-edge stubs ("hairs"): they count towards valence and towards
-the outgoing degree of their vertex.
+Half-edges are not stored: an edge is the pair of its two ends, and for a
+directed edge the first end is the source.  Marking labels behave as outgoing
+half-edge stubs ("hairs"): they count towards valence and towards the
+outgoing degree of their vertex.
+
+``contract_edge`` is the one contraction move both complexes are built on.
+``contract_loop`` raises a vertex weight instead, so no differential uses it.
 """
 from __future__ import annotations
 
@@ -81,34 +83,6 @@ class Graph:
         kind = "DirGraph" if self.directed else "Graph"
         return f"{kind}(w={list(self.weights)}, edges={list(self.edges)}, marks={list(self.marks)})"
 
-    # -- half-edge view ---------------------------------------------------
-
-    def half_edges(self):
-        """Vertex of each half-edge id; ids ``2e`` and ``2e+1`` are paired."""
-        out = []
-        for (u, v) in self.edges:
-            out.append(u)
-            out.append(v)
-        return out
-
-    def pairing(self, h):
-        if not 0 <= h < 2 * self.n_edges:
-            raise GraphError("half-edge id out of range")
-        return h ^ 1
-
-    def halves_at(self, v, incoming=None):
-        """Half-edge ids at ``v``.  With ``incoming`` set, restrict to the
-        incoming (``True``) or outgoing (``False``) side; directed only."""
-        if incoming is not None and not self.directed:
-            raise GraphError("in/out half-edges need a directed graph")
-        res = []
-        for e, (a, b) in enumerate(self.edges):
-            if a == v and incoming is not True:
-                res.append(2 * e)
-            if b == v and incoming is not False:
-                res.append(2 * e + 1)
-        return res
-
     # -- degree bookkeeping -------------------------------------------------
 
     def degree_data(self):
@@ -127,9 +101,6 @@ class Graph:
         for (_, v) in self.marks:
             hair[v] += 1
         return deg, ind, out, hair
-
-    def marks_at(self, v):
-        return tuple(l for (l, w) in self.marks if w == v)
 
     def parallel_count(self, e):
         """Number of partner edges sharing both endpoints of edge ``e``,

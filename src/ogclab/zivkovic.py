@@ -106,8 +106,7 @@ def forest_orient(g: Graph, forest) -> ForestOrientedGraph:
                                cell_map=tuple(cell_map), roots=root_vs)
 
 
-def psi_matrix(marked: GradedComplex, oriented: GradedComplex,
-               roots_last: bool = True) -> dict:
+def psi_matrix(marked: GradedComplex, oriented: GradedComplex) -> dict:
     """Forest-sum chain map family ``psi[k]: marked_k -> oriented_{k+n}``.
 
     The orientation of the image transports the edge order of the source
@@ -124,8 +123,7 @@ def psi_matrix(marked: GradedComplex, oriented: GradedComplex,
             g = marked.generator(k, col)
             for forest in spanning_forests(g):
                 fo = forest_orient(g, forest)
-                order = list(fo.cell_map) + list(fo.roots) if roots_last \
-                    else list(fo.roots) + list(fo.cell_map)
+                order = list(fo.cell_map) + list(fo.roots)
                 cf = canonical_form(fo.graph)
                 pos = oriented.index_of(cf.key)
                 if pos is None:
@@ -164,7 +162,7 @@ class ChainMapReport:
         }
 
 
-def _identity_sign(psi, marked, oriented, diffs):
+def _identity_sign(psi, marked, diffs):
     """Global sign making ``D.psi = eps.psi.d`` hold, or (None, failure)."""
     eps = None
     for k in sorted(psi):
@@ -221,8 +219,7 @@ def complete_chain_map(psi: dict, marked: GradedComplex, oriented: GradedComplex
 
 def verify_chain_map(psi: dict, marked: GradedComplex,
                      oriented_full: GradedComplex,
-                     oriented_frozen: GradedComplex,
-                     roots_last: bool = True):
+                     oriented_frozen: GradedComplex):
     """Check the two chain identities exactly.
 
     The forest sum must commute with the subdivider-frozen differential with
@@ -231,9 +228,9 @@ def verify_chain_map(psi: dict, marked: GradedComplex,
     family (None when something failed).
     """
     convention = {"flow": "toward-marking", "subdivision": "double-outgoing-source",
-                  "roots": "last" if roots_last else "first",
+                  "roots": "last",
                   "frozen_differential": "subdividers_frozen"}
-    eps, failure = _identity_sign(psi, marked, oriented_frozen, oriented_frozen.diffs)
+    eps, failure = _identity_sign(psi, marked, oriented_frozen.diffs)
     frozen_ok = failure is None
     if not frozen_ok:
         report = ChainMapReport(passed=False, global_sign=None, convention=convention,
@@ -245,8 +242,7 @@ def verify_chain_map(psi: dict, marked: GradedComplex,
     full_ok = False
     failure = None
     if solvable:
-        eps2, failure = _identity_sign(completed, marked, oriented_full,
-                                       oriented_full.diffs)
+        eps2, failure = _identity_sign(completed, marked, oriented_full.diffs)
         full_ok = failure is None and eps2 == eps
         if failure is None and eps2 != eps:
             failure = {"mixed_sign_between_variants": [eps, eps2]}
@@ -351,11 +347,12 @@ class VerificationReport:
 def run_verification(g: int, labels, threads: int = 1, seed: int = 0,
                      max_cells: int | None = None) -> VerificationReport:
     """Full pipeline for one ``(g, S)``: catalogs, both complexes, Betti
-    comparison, chain map and quasi-isomorphism checks."""
+    comparison, chain map and quasi-isomorphism checks.  ``threads`` is
+    accepted for compatibility and has no effect: the run is sequential."""
     timings = {}
     t0 = time.time()
-    mcat = generate_or_load("marked", g, labels, max_cells=max_cells, threads=threads)
-    ocat = generate_or_load("oriented", g, labels, max_cells=max_cells, threads=threads)
+    mcat = generate_or_load("marked", g, labels, max_cells=max_cells)
+    ocat = generate_or_load("oriented", g, labels, max_cells=max_cells)
     timings["generate"] = time.time() - t0
     t0 = time.time()
     marked = build_marked_complex(mcat)

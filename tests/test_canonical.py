@@ -8,10 +8,10 @@ sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 import oracle
 import reference_canon
 
-from ogclab.graphs import Graph, GraphError
-from ogclab.canonical import (Orientation, canonical_form, canonicalize,
-                              decode_key, edge_orientation_killed, encode_key,
-                              group_closure, orientation_sign, perm_parity)
+from ogclab.graphs import Graph
+from ogclab.canonical import (canonical_form, canonicalize, decode_key,
+                              edge_orientation_killed, encode_key,
+                              group_closure, induced_edge_map, perm_parity)
 from ogclab.catalogs import connected_cores
 
 
@@ -107,51 +107,59 @@ def test_aut_order_matches_brute_force():
         assert cf.aut_order() == brute, g
 
 
+# The kill flags as the catalog computes them: an odd edge permutation
+# (marked) or an odd vertex permutation (oriented) among the generators.
+
+def edges_killed(g):
+    cf = canonical_form(g)
+    return edge_orientation_killed(cf.graph, cf.gens)
+
+
+def vertices_killed(g):
+    return any(perm_parity(a) < 0 for a in canonical_form(g).gens)
+
+
+def orientation_sign(g, aut):
+    """Sign an automorphism induces on the orientation reference: the vertex
+    order of a directed graph, the edge order of an undirected one."""
+    if g.directed:
+        return perm_parity(aut)
+    return perm_parity(induced_edge_map(g.edges, aut, g.edges, g.directed))
+
+
 def test_marked_kill_rules():
     theta = Graph([0, 0], [(0, 1), (0, 1), (0, 1)], [(1, 0)])
-    assert canonical_form(theta).killed("edges")       # parallel bundle
+    assert edges_killed(theta)                  # parallel bundle
     loop = Graph([0], [(0, 0)], [(1, 0)])
-    assert not canonical_form(loop).killed("edges")    # loop flip fixes edges
+    assert not edges_killed(loop)               # loop flip fixes edges
     bridge = Graph([0, 0], [(0, 0), (0, 1)], [(1, 1), (2, 1)])
-    assert not canonical_form(bridge).killed("edges")
+    assert not edges_killed(bridge)
 
 
 def test_oriented_kill_rule():
     # alternating square: swapping the two sources is an odd vertex permutation
     sq = Graph([0, 0, 0, 0], [(0, 2), (1, 2), (0, 3), (1, 3)],
                [(1, 2), (2, 3)], directed=True)
-    assert canonical_form(sq).killed("vertices")
+    assert vertices_killed(sq)
     ol = Graph([0, 0], [(0, 1), (0, 1)], [(1, 1)], directed=True)
-    assert not canonical_form(ol).killed("vertices")
+    assert not vertices_killed(ol)
 
 
 def test_orientation_sign_identity():
     g = canonical_form(Graph([0, 0], [(0, 1), (0, 1), (0, 1)], [(1, 0)])).graph
-    orient = Orientation("edges", range(g.n_edges))
-    ident = tuple(range(g.n_vertices))
-    assert orientation_sign(g, orient, ident) == 1
+    assert orientation_sign(g, tuple(range(g.n_vertices))) == 1
 
 
 def test_orientation_sign_is_group_homomorphism():
     for g in SAMPLES:
         cf = canonical_form(g)
-        kind = "vertices" if g.directed else "edges"
-        ref = range(cf.graph.n_vertices if g.directed else cf.graph.n_edges)
-        orient = Orientation(kind, ref)
         auts = cf.auts
-        signs = {a: orientation_sign(cf.graph, orient, a) for a in auts}
+        signs = {a: orientation_sign(cf.graph, a) for a in auts}
         for a in auts:
             for b in auts:
                 ab = tuple(a[b[i]] for i in range(len(a)))
                 assert ab in signs
                 assert signs[ab] == signs[a] * signs[b]
-
-
-def test_orientation_validation():
-    with pytest.raises(GraphError):
-        Orientation("edges", [0, 0, 1])
-    with pytest.raises(GraphError):
-        Orientation("sides", [0, 1])
 
 
 # -- pruned search against the exhaustive reference ----------------------------
@@ -225,9 +233,8 @@ def test_kill_flags_from_generators_match_full_group():
     for _ in range(300):
         g = Graph(*_random_graph(rng))
         cf = canonical_form(g)
-        assert cf.killed("vertices") == any(perm_parity(a) < 0 for a in cf.auts)
-        full = edge_orientation_killed(cf.graph, cf.auts)
-        assert cf.killed("edges") == full
+        assert vertices_killed(g) == any(perm_parity(a) < 0 for a in cf.auts)
+        assert edges_killed(g) == edge_orientation_killed(cf.graph, cf.auts)
 
 
 def test_core_counts_pinned():

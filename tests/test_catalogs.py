@@ -1,4 +1,5 @@
 """Catalog generation, spanning forests, contraction targets, persistence."""
+import json
 import os
 import sys
 from pathlib import Path
@@ -8,12 +9,13 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 import oracle
 
-from ogclab.graphs import Graph, GraphError, genus, is_acyclic, is_stable
+from ogclab.graphs import (Graph, GraphError, StabilityProfile, genus,
+                           is_acyclic, is_stable)
 from ogclab.canonical import canonical_form
-from ogclab.catalogs import (ResourceCapExceeded, contraction_targets,
-                             generate_marked, generate_or_load,
-                             generate_oriented, load_catalog, save_catalog,
-                             spanning_forests)
+from ogclab.catalogs import (ResourceCapExceeded, generate_marked,
+                             generate_or_load, generate_oriented, load_catalog,
+                             save_catalog, spanning_forests)
+from ogclab.complexes import _admissible_contractions, build_oriented_complex
 
 
 def labels(n):
@@ -82,15 +84,6 @@ def test_edge_count_bound_from_valence():
     for (g, n) in [(1, 2), (2, 1), (0, 4)]:
         cat = generate_marked(g, labels(n))
         assert max(cat.degrees()) <= 3 * g - 3 + n
-
-
-def test_generation_order_independent():
-    a = generate_marked(2, [1], threads=1)
-    b = generate_marked(2, [1], threads=3)
-    assert [e.key for e in a.entries()] == [e.key for e in b.entries()]
-    c = generate_oriented(1, [1, 2], threads=1)
-    d = generate_oriented(1, [1, 2], threads=4)
-    assert [e.key for e in c.entries()] == [e.key for e in d.entries()]
 
 
 def test_max_cells_cap():
@@ -183,39 +176,47 @@ def test_forest_counts_match_exhaustive_enumeration():
 
 
 # -- contraction targets -----------------------------------------------------------
+# The contractions both differentials sum over, under the one admissibility rule.
+
+def targets(graph, profile, freeze_subdividers=False):
+    return list(_admissible_contractions(graph, profile, freeze_subdividers))
+
 
 def test_contraction_targets_corolla_empty():
     corolla = Graph([2], [], [(1, 0)])
-    assert contraction_targets(corolla) == []
+    assert targets(corolla, StabilityProfile.marked()) == []
 
 
 def test_contraction_targets_single_edge():
     g = Graph([0, 0], [(0, 1)], [(1, 0), (2, 0), (3, 1), (4, 1)])
-    out = contraction_targets(g)
-    assert len(out) == 1 and out[0].status == "ok"
+    out = targets(g, StabilityProfile.marked())
+    assert out == [(0, Graph([0], [], [(1, 0), (2, 0), (3, 0), (4, 0)]))]
 
 
 def test_contraction_targets_classify_and_preserve_genus():
     for (g, n) in [(1, 2), (2, 1), (1, 3)]:
         cat = generate_marked(g, labels(n))
+        keys = {e.key for e in cat.entries()}
         for entry in cat.entries():
             graph = entry.graph
-            for tgt in contraction_targets(graph, cat):
-                if tgt.status == "exits":
-                    e = tgt.edge
+            out = dict(targets(graph, cat.profile))
+            for e in range(graph.n_edges):
+                if e not in out:
+                    # contracting a stable marked graph only exits by a weight
                     assert graph.is_loop(e) or graph.parallel_count(e) > 0
-                else:
-                    assert tgt.position is not None
-                    from ogclab.canonical import decode_key
-                    assert genus(decode_key(tgt.key)) == g
+                    continue
+                assert genus(out[e]) == g
+                assert canonical_form(out[e]).key in keys
 
 
 def test_contraction_closure_in_oriented_catalog():
     for (g, n) in [(1, 2), (2, 1)]:
         cat = generate_oriented(g, labels(n))
+        keys = {e.key for e in cat.entries()}
         for entry in cat.entries():
-            for tgt in contraction_targets(entry.graph, cat):
-                assert tgt.status == "exits" or tgt.position is not None
+            for _, target in targets(entry.graph, cat.profile):
+                assert canonical_form(target).key in keys
+        build_oriented_complex(cat)   # raises on a target outside the catalog
 
 
 # -- persistence and cache ------------------------------------------------------------
@@ -288,3 +289,30 @@ def test_interrupted_cache_write_leaves_no_catalog(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         generate_or_load("marked", 1, (1,))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cached_catalog_respects_max_cells(tmp_path, monkeypatch):
+    monkeypatch.setenv("OGCLAB_CACHE", str(tmp_path))
+    cat = generate_or_load("oriented", 1, labels(2))
+    assert cat.total() == KNOWN_TOTALS[("oriented", 1, 2)] > 5
+    with pytest.raises(ResourceCapExceeded):
+        generate_or_load("oriented", 1, labels(2), max_cells=5)
+    assert generate_or_load("oriented", 1, labels(2), max_cells=15).total() == 15
+
+
+def test_load_recomputes_index_kill_flags_and_orders(tmp_path, monkeypatch):
+    monkeypatch.setenv("OGCLAB_CACHE", str(tmp_path))
+    cat = generate_or_load("marked", 1, labels(2))
+    index_path = tmp_path / "marked_g1_n2_std_v1" / "index.json"
+    pristine = index_path.read_text()
+    for field_name, tamper in [("killed", lambda v: not v), ("aut_order", lambda v: v + 1)]:
+        index = json.loads(pristine)
+        rec = index["strata"]["2"][0]
+        rec[field_name] = tamper(rec[field_name])
+        index_path.write_text(json.dumps(index))
+        with pytest.raises(GraphError):
+            load_catalog(str(index_path.parent))
+        again = generate_or_load("marked", 1, labels(2))
+        assert [(e.key, e.killed, e.aut_order) for e in again.entries()] == \
+            [(e.key, e.killed, e.aut_order) for e in cat.entries()]
+        assert json.loads(index_path.read_text()) == json.loads(pristine)

@@ -127,3 +127,9 @@ def test_partial_cache_directory_does_not_block_later_runs(tmp_path, capsys, mon
     (tmp_path / "cache" / "marked_g1_n1_std_v1").mkdir(parents=True)
     assert run(["betti", "-g", "1", "-n", "1", "--flavor", "marked"]) == 0
     assert (tmp_path / "cache" / "marked_g1_n1_std_v1" / "index.json").is_file()
+
+
+def test_export_matrices_without_out_is_usage_error(capsys):
+    assert run(["betti", "-g", "1", "-n", "1", "--flavor", "marked",
+                "--export-matrices"]) == 2
+    assert "usage error" in capsys.readouterr().err

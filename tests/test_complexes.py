@@ -146,6 +146,20 @@ def test_frozen_variant_same_ranks():
             assert full.dim(k) == frozen.dim(k)
 
 
+@pytest.mark.parametrize("flavor, build", [("marked", build_marked_complex),
+                                           ("oriented", build_oriented_complex)])
+def test_missing_contraction_target_raises(flavor, build):
+    # a catalog missing one cell that a generator contracts onto is not
+    # closed under contraction; assembly must say so, not drop the term
+    gen = generate_marked if flavor == "marked" else generate_oriented
+    cat = gen(1, labels(2))
+    low = min(cat.degrees())
+    cat.strata[low] = [e for e in cat.strata[low] if e.killed] + \
+        [e for e in cat.strata[low] if not e.killed][1:]
+    with pytest.raises(ComplexError, match=rf"{flavor}\(g=1,n=2\) degree {low + 1}"):
+        build(cat)
+
+
 def test_betti_csv_and_json_encode_same_numbers():
     import csv as csvmod
     import io

@@ -121,20 +121,6 @@ def test_contract_loop_rejects_non_loop():
         contract_loop(Graph([0, 0], [(0, 1)]), 0)
 
 
-def test_half_edge_view():
-    g = theta_with_hair()
-    hv = g.half_edges()
-    assert len(hv) == 6
-    assert all(g.pairing(g.pairing(h)) == h for h in range(6))
-    assert all(hv[h] != hv[g.pairing(h)] for h in range(6))
-
-
-def test_half_edges_in_out():
-    g = Graph([0, 0], [(0, 1), (0, 1)], directed=True)
-    assert g.halves_at(0, incoming=False) == [0, 2]
-    assert g.halves_at(1, incoming=True) == [1, 3]
-
-
 def test_json_round_trip_undirected():
     g = theta_with_hair()
     assert graph_from_json(graph_to_json(g)) == g

@@ -2,7 +2,8 @@
 and the induced isomorphism on cohomology."""
 import pytest
 
-from ogclab.graphs import Graph, GraphError, genus, is_acyclic, is_stable, StabilityProfile
+from ogclab.graphs import (Graph, GraphError, StabilityProfile, contract_edge,
+                           genus, is_acyclic, is_stable)
 from ogclab.canonical import canonical_form
 from ogclab.catalogs import generate_marked, generate_oriented, spanning_forests
 from ogclab.complexes import build_marked_complex, build_oriented_complex
@@ -87,7 +88,6 @@ def test_vertex_count_identity_and_stability():
 def test_functoriality_of_orientation_under_forest_contraction():
     # contracting a forest edge then orienting equals orienting then
     # contracting the corresponding directed edge, as isomorphism classes
-    from ogclab.complexes import _contract_keep_order
     for (g, n) in [(1, 2), (1, 3), (2, 1)]:
         cat = generate_marked(g, labels(n))
         for entry in cat.entries():
@@ -99,14 +99,13 @@ def test_functoriality_of_orientation_under_forest_contraction():
                 if graph.parallel_count(e) > 0:
                     continue
                 fo = forest_orient(graph, forest)
-                contracted = _contract_keep_order(graph, e)
+                contracted = contract_edge(graph, e)
                 rest = tuple(i - (1 if i > e else 0) for i in forest if i != e)
                 fo2 = forest_orient(contracted, rest)
                 # contract the directed image of e inside the oriented graph
                 pos = [i for i, (u, v) in enumerate(fo.graph.edges)
                        if {u, v} == set(graph.edges[e])][0]
-                from ogclab.complexes import _contract_merged_first
-                tgt, _, _ = _contract_merged_first(fo.graph, pos)
+                tgt = contract_edge(fo.graph, pos)
                 assert canonical_form(tgt).key == canonical_form(fo2.graph).key
 
 
@@ -153,7 +152,7 @@ def test_frozen_identity_is_exact_without_completion():
     for (g, n) in [(1, 3), (2, 1), (0, 4)]:
         mx, full, frozen = stack(g, n)
         psi = psi_matrix(mx, full)
-        eps, failure = _identity_sign(psi, mx, frozen, frozen.diffs)
+        eps, failure = _identity_sign(psi, mx, frozen.diffs)
         assert failure is None
         assert eps in (1, -1)
 
