@@ -13,8 +13,8 @@ from .linalg import (RankError, SparseIntMatrix, kernel_basis, multiply,
                      read_matrix_market, solve_columns, write_matrix_market)
 from .complexes import (BettiTable, ComplexError, GradedComplex, betti,
                         betti_shift_matches, build_marked_complex,
-                        build_oriented_complex, euler_characteristic, hc_degree,
-                        cell_degree_from_hc)
+                        build_oriented_complex, build_oriented_complexes,
+                        euler_characteristic, hc_degree, cell_degree_from_hc)
 from .zivkovic import (ForestOrientedGraph, forest_orient, psi_matrix,
                        complete_chain_map, run_verification, verify_chain_map,
                        verify_quasi_iso)
@@ -30,7 +30,8 @@ __all__ = [
     "RankError", "SparseIntMatrix", "kernel_basis", "multiply",
     "read_matrix_market", "solve_columns", "write_matrix_market", "BettiTable",
     "ComplexError", "GradedComplex", "betti", "betti_shift_matches",
-    "build_marked_complex", "build_oriented_complex", "euler_characteristic",
+    "build_marked_complex", "build_oriented_complex", "build_oriented_complexes",
+    "euler_characteristic",
     "hc_degree", "cell_degree_from_hc", "ForestOrientedGraph", "forest_orient",
     "psi_matrix", "complete_chain_map", "run_verification", "verify_chain_map",
     "verify_quasi_iso",

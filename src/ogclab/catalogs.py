@@ -531,6 +531,12 @@ def load_catalog(path: str) -> GraphCatalog:
                     graph = graph_from_json(fh.read())
             except OSError as exc:
                 raise GraphError(f"catalog file missing: {fp}") from exc
+            if graph.directed != (flavor == "oriented"):
+                # the JSON form keeps direction on edges only
+                if graph.n_edges:
+                    raise GraphError(f"edge direction of {fp} disagrees with "
+                                     f"the {flavor} catalog")
+                graph = Graph(graph.weights, (), graph.marks, directed=True)
             cf = canonical_form(graph)
             if not is_stable(graph, profile) or genus(graph) != cat.genus:
                 raise GraphError(f"catalog file violates invariants: {fp}")

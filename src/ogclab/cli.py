@@ -53,9 +53,10 @@ def _labels(n):
 
 def cmd_enumerate(args) -> int:
     flavors = ["marked", "oriented"] if args.flavor == "both" else [args.flavor]
+    pairs = _pairs(args)
     os.makedirs(args.out, exist_ok=True)
     summary = []
-    for (g, n) in _pairs(args):
+    for (g, n) in pairs:
         for flavor in flavors:
             cat = generate_or_load(flavor, g, _labels(n), max_cells=args.max_cells)
             rel = f"{flavor}_g{g}_n{n}"

@@ -11,6 +11,10 @@ Both differentials run one column loop (``_assemble``) over one admissibility
 rule: ``graphs.contract_edge`` on every edge that is neither a loop nor in a
 parallel bundle (either would raise a weight), keeping targets that are stable
 and, for directed graphs, acyclic.  Only the sign differs between the flavours.
+The subdivider-frozen oriented differential, the one the spanning-forest map
+commutes with on the nose, is the full one without the contractions of edges
+leaving a bivalent unmarked double-outgoing source; ``_assemble`` emits both
+from one pass, canonicalising each contraction target once.
 Generators carrying an orientation-reversing automorphism are excluded from
 the bases, and a contraction onto one of them contributes zero; a target
 missing from the catalog altogether raises ``ComplexError``.
@@ -84,7 +88,8 @@ def build_marked_complex(catalog: GraphCatalog, d_parity: int = 0) -> GradedComp
         raise ComplexError("build_marked_complex needs a marked catalog")
     if d_parity % 2 != 0:
         raise ComplexError("the marked complex takes an even parity")
-    return _assemble(catalog, d_parity, "full", _edge_order_sign)
+    (cx,) = _assemble(catalog, d_parity, ["full"], _edge_order_sign)
+    return cx
 
 
 def build_oriented_complex(catalog: GraphCatalog,
@@ -101,13 +106,25 @@ def build_oriented_complex(catalog: GraphCatalog,
     nose; the full differential is the default and is what the Betti numbers
     refer to.
     """
+    _check_oriented(catalog, d_parity)
+    variant = "full" if contract_subdivider_edges else "subdividers_frozen"
+    (cx,) = _assemble(catalog, d_parity, [variant], _vertex_order_sign)
+    return cx
+
+
+def build_oriented_complexes(catalog: GraphCatalog, d_parity: int = 1):
+    """The full and the subdivider-frozen oriented complexes, ``(full,
+    frozen)``, from one pass over the contractions."""
+    _check_oriented(catalog, d_parity)
+    return tuple(_assemble(catalog, d_parity, ["full", "subdividers_frozen"],
+                           _vertex_order_sign))
+
+
+def _check_oriented(catalog: GraphCatalog, d_parity: int) -> None:
     if catalog.flavor != "oriented":
         raise ComplexError("build_oriented_complex needs an oriented catalog")
     if d_parity % 2 != 1:
         raise ComplexError("the oriented complex takes an odd parity")
-    variant = "full" if contract_subdivider_edges else "subdividers_frozen"
-    return _assemble(catalog, d_parity, variant, _vertex_order_sign,
-                     freeze_subdividers=not contract_subdivider_edges)
 
 
 def _edge_order_sign(g: Graph, e: int, cf) -> int:
@@ -125,65 +142,73 @@ def _vertex_order_sign(g: Graph, e: int, cf) -> int:
         [cf.vertex_map[x] for x in merged_first])
 
 
-def _admissible_contractions(g: Graph, profile: StabilityProfile,
-                             freeze_subdividers: bool):
-    """Yield ``(edge, target)`` for every contraction in the differential:
-    never a loop or an edge with a parallel partner (either would raise a
-    weight), and the target must be stable and, when directed, acyclic.
-    With ``freeze_subdividers`` the edges leaving a bivalent unmarked
-    double-outgoing source are skipped too."""
-    if freeze_subdividers:
+def _admissible_contractions(g: Graph, profile: StabilityProfile):
+    """Yield ``(edge, target, subdivider)`` for every contraction in the
+    differential: never a loop or an edge with a parallel partner (either
+    would raise a weight), and the target must be stable and, when directed,
+    acyclic.  ``subdivider`` flags an edge leaving a bivalent unmarked
+    double-outgoing source, which the frozen variant leaves uncontracted."""
+    if g.directed:
         deg, ind, out, hair = g.degree_data()
     for i, (a, b) in enumerate(g.edges):
         if a == b or g.parallel_count(i) > 0:
-            continue
-        if freeze_subdividers and (hair[a], ind[a], out[a], deg[a]) == (0, 0, 2, 2):
             continue
         target = contract_edge(g, i)
         if g.directed and not is_acyclic(target):
             continue
         if is_stable(target, profile):
-            yield i, target
+            subdivider = g.directed and (hair[a], ind[a], out[a], deg[a]) == (0, 0, 2, 2)
+            yield i, target, subdivider
 
 
-def _assemble(catalog: GraphCatalog, d_parity: int, variant: str, sign,
-              freeze_subdividers: bool = False) -> GradedComplex:
-    """The one column loop behind both complexes: the column of generator
-    ``g`` in degree ``k`` sums ``sign(g, e, cf)`` over the admissible
-    contractions of ``g``, ``cf`` being the canonical form of the target.  A
-    target with an orientation-reversing automorphism is zero; one missing
-    from the catalog means the catalog is not closed under contraction, and
-    raises."""
+def _assemble(catalog: GraphCatalog, d_parity: int, variants, sign) -> list:
+    """The one column loop behind both complexes, returning one complex per
+    name in ``variants``.  The column of generator ``g`` in degree ``k``
+    sums ``sign(g, e, cf)`` over the admissible contractions of ``g``, ``cf``
+    being the canonical form of the target; each contraction is
+    canonicalised once, and a ``subdividers_frozen`` variant skips the
+    subdivider edges.  A target with an orientation-reversing automorphism
+    is zero; one missing from the catalog means the catalog is not closed
+    under contraction, and raises."""
     basis, index, killed = {}, {}, set()
     for deg in catalog.degrees():
         basis[deg] = [e.key for e in catalog.strata[deg] if not e.killed]
         killed.update(e.key for e in catalog.strata[deg] if e.killed)
         index.update((key, (deg, i)) for i, key in enumerate(basis[deg]))
-    cx = GradedComplex(flavor=catalog.flavor, genus=catalog.genus,
-                       labels=catalog.labels, d_parity=d_parity, basis=basis,
-                       variant=variant, _index=index)
-    where = f"{cx.flavor}(g={cx.genus},n={len(cx.labels)})"
-    for k in cx.degrees():
-        mat = SparseIntMatrix(cx.dim(k - 1), cx.dim(k))
+    cxs = [GradedComplex(flavor=catalog.flavor, genus=catalog.genus,
+                         labels=catalog.labels, d_parity=d_parity, basis=basis,
+                         variant=variant, _index=index) for variant in variants]
+    where = f"{catalog.flavor}(g={catalog.genus},n={len(catalog.labels)})"
+    for k in sorted(basis):
+        mats = {v: SparseIntMatrix(len(basis.get(k - 1, ())), len(basis[k]))
+                for v in variants}
         for col, key in enumerate(basis[k]):
             g = decode_key(key)
-            for e, target in _admissible_contractions(g, catalog.profile,
-                                                      freeze_subdividers):
+            for e, target, subdivider in _admissible_contractions(g, catalog.profile):
+                takers = [v for v in variants
+                          if not (subdivider and v == "subdividers_frozen")]
+                if not takers:
+                    continue
                 cf = canonical_form(target)
                 pos = index.get(cf.key)
                 if pos is None:
                     if cf.key in killed:
                         continue
                     raise ComplexError(
-                        f"{where} degree {k}: contracting edge {e} of generator "
-                        f"{col} ({g!r}) gives {cf.graph!r}, which is not in the catalog")
+                        f"{where} degree {k} ({', '.join(takers)}): contracting "
+                        f"edge {e} of generator {col} ({g!r}) gives "
+                        f"{cf.graph!r}, which is not in the catalog")
                 (kk, row) = pos
                 if kk != k - 1:
                     raise ComplexError("contraction changed the degree by != 1")
-                mat.add(row, col, sign(g, e, cf))
-        cx.diffs[k] = mat
-    _check_d_squared(cx)
-    return cx
+                s = sign(g, e, cf)
+                for v in takers:
+                    mats[v].add(row, col, s)
+        for cx in cxs:
+            cx.diffs[k] = mats[cx.variant]
+    for cx in cxs:
+        _check_d_squared(cx)
+    return cxs
 
 
 def _check_d_squared(cx: GradedComplex) -> None:
@@ -194,9 +219,9 @@ def _check_d_squared(cx: GradedComplex) -> None:
         if not prod.is_zero():
             (i, j) = sorted(prod.entries)[0]
             raise ComplexError(
-                f"d^2 != 0 in {cx.flavor}(g={cx.genus},n={len(cx.labels)}) at degree {k}: "
-                f"generator {j} hits degree-{k - 2} generator {i} "
-                f"with coefficient {prod.entries[(i, j)]}")
+                f"d^2 != 0 in {cx.flavor}(g={cx.genus},n={len(cx.labels)}) "
+                f"({cx.variant}) at degree {k}: generator {j} hits degree-{k - 2} "
+                f"generator {i} with coefficient {prod.entries[(i, j)]}")
 
 
 # -- Betti tables ----------------------------------------------------------------

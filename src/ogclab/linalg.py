@@ -1,14 +1,24 @@
 """Exact sparse linear algebra over the rationals and over prime fields.
 
-Ranks are computed three ways: fraction-free integer elimination (Bareiss
-updates with a Markowitz-style pivot), single-prime modular elimination, and
-a consensus mode that runs several random 31-bit primes and escalates to the
-rational computation unless they agree unanimously.
+Every rank runs one Gaussian elimination loop (``_markowitz_rank``) with a
+Markowitz-style pivot: the shortest live row, at its sparsest column, which
+keeps fill low on sparse differentials (cf. Dumas, Elbaz-Vincent, Giorgi &
+Urbanska, arXiv:0704.2351).  Only the row update differs by field: over the
+integers it is fraction-free (cross-multiply, then divide by the row's
+content gcd), over Z/p it subtracts a multiple of the pivot row scaled by the
+pivot's inverse.  The consensus mode runs several random 31-bit primes and
+escalates to the rational computation unless they agree unanimously.
+``kernel_basis`` and ``solve_columns`` keep their own smallest-column pivot,
+which fixes the solutions they return.
+
+Matrices store integral entries as ``int``; only a non-integral value, such
+as an entry of a solution from ``solve_columns``, is kept as ``Fraction``.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 
@@ -17,8 +27,9 @@ class RankError(RuntimeError):
 
 
 class SparseIntMatrix:
-    """Sparse exact matrix.  Entries are ``Fraction`` or ``int`` values keyed
-    by ``(row, col)``; zero entries are never stored."""
+    """Sparse exact matrix.  Entries are keyed by ``(row, col)``, stored as
+    ``int`` when integral and as ``Fraction`` otherwise; zero entries are
+    never stored."""
 
     __slots__ = ("nrows", "ncols", "entries")
 
@@ -34,14 +45,17 @@ class SparseIntMatrix:
         (i, j) = pos
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise IndexError(f"entry {pos} outside {self.nrows}x{self.ncols}")
-        value = value if isinstance(value, Fraction) else Fraction(value)
+        if type(value) is not int:
+            value = Fraction(value)
+            if value.denominator == 1:
+                value = value.numerator
         if value:
             self.entries[(i, j)] = value
         else:
             self.entries.pop((i, j), None)
 
     def __getitem__(self, pos):
-        return self.entries.get(pos, Fraction(0))
+        return self.entries.get(pos, 0)
 
     def add(self, i, j, value):
         self[i, j] = self[(i, j)] + value
@@ -124,53 +138,14 @@ class SparseIntMatrix:
         return rows
 
     def _rank_rational(self):
-        """Exact integer elimination.  Pivot: shortest live row, breaking
-        ties towards the sparsest column (Markowitz style); updated rows are
-        cross-multiplied and renormalised by their content gcd, which keeps
-        the arithmetic exact without fraction bookkeeping."""
-        rows = {ri: _gcd_reduce(r) for ri, r in enumerate(self._int_rows()) if r}
-        col_rows = {}
-        by_len = {}
-        for ri, r in rows.items():
-            by_len.setdefault(len(r), set()).add(ri)
-            for j in r:
-                col_rows.setdefault(j, set()).add(ri)
-        rank = 0
-        while rows:
-            length = min(l for l, b in by_len.items() if b)
-            pri = min(by_len[length])
-            by_len[length].discard(pri)
-            piv_row = rows.pop(pri)
-            pj = min(piv_row, key=lambda j: (len(col_rows[j]), j))
-            piv = piv_row[pj]
-            rank += 1
-            for j in piv_row:
-                col_rows[j].discard(pri)
-            touched = sorted(ri for ri in col_rows.get(pj, ()) if ri in rows)
-            for ri in touched:
-                r = rows[ri]
-                a = r[pj]
-                by_len[len(r)].discard(ri)
-                for j in r:
-                    col_rows[j].discard(ri)
-                new = {}
-                for j in r.keys() | piv_row.keys():
-                    if j == pj:
-                        continue
-                    val = piv * r.get(j, 0) - a * piv_row.get(j, 0)
-                    if val:
-                        new[j] = val
-                if new:
-                    new = _gcd_reduce(new)
-                    rows[ri] = new
-                    by_len.setdefault(len(new), set()).add(ri)
-                    for j in new:
-                        col_rows.setdefault(j, set()).add(ri)
-                else:
-                    del rows[ri]
-        return rank
+        """Exact integer elimination: the Markowitz loop with fraction-free
+        row updates, each updated row renormalised by its content gcd."""
+        return _markowitz_rank([_gcd_reduce(r) for r in self._int_rows() if r],
+                               _fraction_free_update)
 
     def _rank_modular(self, p):
+        """Rank over Z/p: the Markowitz loop with the pivot row scaled by
+        its inverse.  At most the rational rank."""
         if p < 2:
             raise ValueError("modulus must be at least 2")
         rows = []
@@ -180,31 +155,12 @@ class SparseIntMatrix:
                 den = v.denominator % p
                 if den == 0:
                     raise RankError(f"prime {p} divides a denominator")
-                val = v.numerator * pow(den, p - 2, p) % p
+                val = v.numerator * pow(den, -1, p) % p
                 if val:
                     row[j] = val
             if row:
                 rows.append(row)
-        rank = 0
-        pivots = {}
-        for row in rows:
-            row = dict(row)
-            while row:
-                j = min(row)
-                if j in pivots:
-                    f = row[j]
-                    for jj, vv in pivots[j].items():
-                        nv = (row.get(jj, 0) - f * vv) % p
-                        if nv:
-                            row[jj] = nv
-                        else:
-                            row.pop(jj, None)
-                else:
-                    inv = pow(row[j], p - 2, p)
-                    pivots[j] = {jj: vv * inv % p for jj, vv in row.items()}
-                    rank += 1
-                    break
-        return rank
+        return _markowitz_rank(rows, partial(_modular_update, p))
 
     def check_consensus(self, seed=0, primes=3, name="matrix"):
         """Assert that consensus and rational ranks agree; return the rank."""
@@ -214,6 +170,83 @@ class SparseIntMatrix:
             raise RankError(
                 f"{name}: modular ranks {modular} disagree with rational {rational}")
         return rational
+
+
+def _markowitz_rank(rows, update):
+    """Rank of the nonzero sparse ``rows`` by Gaussian elimination.  Pivot:
+    the shortest live row (lowest index among equals), at its sparsest
+    column (lowest column among equals), which keeps fill low.
+    ``update(piv_row, pj)`` returns the row operation clearing column
+    ``pj`` with that pivot; it maps a row to its reduced copy, without
+    column ``pj`` and with no zero entries."""
+    rows = dict(enumerate(rows))
+    col_rows = {}
+    by_len = {}
+    for ri, r in rows.items():
+        by_len.setdefault(len(r), set()).add(ri)
+        for j in r:
+            col_rows.setdefault(j, set()).add(ri)
+    rank = 0
+    while rows:
+        length = min(l for l, b in by_len.items() if b)
+        pri = min(by_len[length])
+        by_len[length].discard(pri)
+        piv_row = rows.pop(pri)
+        pj = min(piv_row, key=lambda j: (len(col_rows[j]), j))
+        rank += 1
+        for j in piv_row:
+            col_rows[j].discard(pri)
+        eliminate = update(piv_row, pj)
+        for ri in sorted(col_rows[pj]):
+            r = rows[ri]
+            by_len[len(r)].discard(ri)
+            for j in r:
+                col_rows[j].discard(ri)
+            new = eliminate(r)
+            if new:
+                rows[ri] = new
+                by_len.setdefault(len(new), set()).add(ri)
+                for j in new:
+                    col_rows.setdefault(j, set()).add(ri)
+            else:
+                del rows[ri]
+    return rank
+
+
+def _fraction_free_update(piv_row, pj):
+    """Over Z: ``piv * row - row[pj] * piv_row``, divided by its content."""
+    piv = piv_row[pj]
+    rest = [(j, v) for j, v in piv_row.items() if j != pj]
+
+    def eliminate(row):
+        a = row[pj]
+        new = {j: piv * v for j, v in row.items() if j != pj}
+        for j, v in rest:
+            val = new.get(j, 0) - a * v
+            if val:
+                new[j] = val
+            else:
+                new.pop(j, None)
+        return _gcd_reduce(new)
+    return eliminate
+
+
+def _modular_update(p, piv_row, pj):
+    """Over Z/p: ``row - row[pj] * piv_row / piv``."""
+    inv = pow(piv_row[pj], -1, p)
+    rest = [(j, v * inv % p) for j, v in piv_row.items() if j != pj]
+
+    def eliminate(row):
+        new = dict(row)
+        f = new.pop(pj)
+        for j, v in rest:
+            val = (new.get(j, 0) - f * v) % p
+            if val:
+                new[j] = val
+            else:
+                new.pop(j, None)
+        return new
+    return eliminate
 
 
 def _gcd_reduce(row):

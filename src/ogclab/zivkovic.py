@@ -23,7 +23,7 @@ from .graphs import Graph, GraphError, genus
 from .canonical import canonical_form, perm_parity
 from .catalogs import (GraphCatalog, generate_or_load, spanning_forests)
 from .complexes import (GradedComplex, betti, betti_shift_matches,
-                        build_marked_complex, build_oriented_complex,
+                        build_marked_complex, build_oriented_complexes,
                         euler_characteristic)
 from .linalg import SparseIntMatrix, kernel_basis, solve_columns
 
@@ -356,8 +356,7 @@ def run_verification(g: int, labels, threads: int = 1, seed: int = 0,
     timings["generate"] = time.time() - t0
     t0 = time.time()
     marked = build_marked_complex(mcat)
-    or_full = build_oriented_complex(ocat)
-    or_frozen = build_oriented_complex(ocat, contract_subdivider_edges=False)
+    or_full, or_frozen = build_oriented_complexes(ocat)
     timings["complexes"] = time.time() - t0
     t0 = time.time()
     mt = betti(marked, seed=seed)

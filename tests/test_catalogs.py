@@ -178,8 +178,8 @@ def test_forest_counts_match_exhaustive_enumeration():
 # -- contraction targets -----------------------------------------------------------
 # The contractions both differentials sum over, under the one admissibility rule.
 
-def targets(graph, profile, freeze_subdividers=False):
-    return list(_admissible_contractions(graph, profile, freeze_subdividers))
+def targets(graph, profile):
+    return list(_admissible_contractions(graph, profile))
 
 
 def test_contraction_targets_corolla_empty():
@@ -190,7 +190,18 @@ def test_contraction_targets_corolla_empty():
 def test_contraction_targets_single_edge():
     g = Graph([0, 0], [(0, 1)], [(1, 0), (2, 0), (3, 1), (4, 1)])
     out = targets(g, StabilityProfile.marked())
-    assert out == [(0, Graph([0], [], [(1, 0), (2, 0), (3, 0), (4, 0)]))]
+    assert out == [(0, Graph([0], [], [(1, 0), (2, 0), (3, 0), (4, 0)]), False)]
+
+
+def test_contraction_targets_flag_subdivider_edges():
+    # a bivalent unmarked source with two outgoing edges subdivides an edge;
+    # both its edges are flagged, and contracting either is still admissible
+    g = Graph([0, 0, 0], [(0, 1), (0, 2)], [(1, 1), (2, 1), (3, 2), (4, 2)],
+              directed=True)
+    out = targets(g, StabilityProfile.oriented())
+    assert [(e, flag) for e, _, flag in out] == [(0, True), (1, True)]
+    marked = Graph([0, 0, 0], [(0, 1), (0, 2)], [(1, 1), (2, 1), (3, 2), (4, 2), (5, 0)])
+    assert not any(flag for _, _, flag in targets(marked, StabilityProfile.marked()))
 
 
 def test_contraction_targets_classify_and_preserve_genus():
@@ -199,7 +210,7 @@ def test_contraction_targets_classify_and_preserve_genus():
         keys = {e.key for e in cat.entries()}
         for entry in cat.entries():
             graph = entry.graph
-            out = dict(targets(graph, cat.profile))
+            out = {e: target for e, target, _ in targets(graph, cat.profile)}
             for e in range(graph.n_edges):
                 if e not in out:
                     # contracting a stable marked graph only exits by a weight
@@ -214,7 +225,7 @@ def test_contraction_closure_in_oriented_catalog():
         cat = generate_oriented(g, labels(n))
         keys = {e.key for e in cat.entries()}
         for entry in cat.entries():
-            for _, target in targets(entry.graph, cat.profile):
+            for _, target, _ in targets(entry.graph, cat.profile):
                 assert canonical_form(target).key in keys
         build_oriented_complex(cat)   # raises on a target outside the catalog
 
@@ -227,6 +238,30 @@ def test_catalog_round_trip(tmp_path):
     back = load_catalog(str(tmp_path / "c"))
     assert [e.key for e in back.entries()] == [e.key for e in cat.entries()]
     assert [e.killed for e in back.entries()] == [e.killed for e in cat.entries()]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_genus_zero_oriented_round_trip_keeps_the_corolla_directed(tmp_path, n):
+    # the edgeless corolla has no edge to carry its direction in the JSON form
+    cat = generate_oriented(0, labels(n))
+    assert any(e.graph.n_edges == 0 for e in cat.entries())
+    save_catalog(cat, str(tmp_path / "c"))
+    back = load_catalog(str(tmp_path / "c"))
+    assert [e.key for e in back.entries()] == [e.key for e in cat.entries()]
+    assert all(e.graph.directed for e in back.entries())
+
+
+def test_undirected_graph_in_oriented_catalog_raises(tmp_path):
+    cat = generate_oriented(1, labels(2))
+    save_catalog(cat, str(tmp_path / "c"))
+    victim = next(p for p in sorted((tmp_path / "c").glob("oriented_*.json"))
+                  if json.loads(p.read_text())["edges"])
+    doc = json.loads(victim.read_text())
+    for edge in doc["edges"]:
+        edge["dir"] = None
+    victim.write_text(json.dumps(doc))
+    with pytest.raises(GraphError, match="edge direction"):
+        load_catalog(str(tmp_path / "c"))
 
 
 def test_corrupt_catalog_raises(tmp_path):

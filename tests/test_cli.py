@@ -122,6 +122,24 @@ def test_non_integer_range_is_usage_error(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_usage_error_creates_no_output_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["enumerate", "-g", "1", "-n", "1..y"]) == 2
+    assert run(["enumerate", "-g", "0", "-n", "2"]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_genus_zero_oriented_betti_survives_a_warm_cache(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OGCLAB_CACHE", str(tmp_path / "cache"))
+    os.makedirs(tmp_path / "cache")
+    outs = []
+    for _ in range(2):
+        assert run(["betti", "-g", "0", "-n", "3"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert (tmp_path / "cache" / "oriented_g0_n3_std_v1").is_dir()
+    assert outs[0] == outs[1] and outs[0].startswith("flavor,")
+
+
 def test_partial_cache_directory_does_not_block_later_runs(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("OGCLAB_CACHE", str(tmp_path / "cache"))
     (tmp_path / "cache" / "marked_g1_n1_std_v1").mkdir(parents=True)

@@ -8,8 +8,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 import oracle
 
 from ogclab.catalogs import generate_marked, generate_oriented
-from ogclab.complexes import (ComplexError, betti, betti_shift_matches,
-                              build_marked_complex, build_oriented_complex,
+from ogclab.complexes import (ComplexError, _check_d_squared, betti,
+                              betti_shift_matches, build_marked_complex,
+                              build_oriented_complex, build_oriented_complexes,
                               cell_degree_from_hc, euler_characteristic,
                               hc_degree)
 
@@ -144,6 +145,42 @@ def test_frozen_variant_same_ranks():
         assert frozen.variant == "subdividers_frozen"
         for k in full.degrees():
             assert full.dim(k) == frozen.dim(k)
+
+
+def test_one_pass_matches_one_variant_builds():
+    for (g, n) in [(1, 2), (1, 3), (0, 4)]:
+        oc = generate_oriented(g, labels(n))
+        full, frozen = build_oriented_complexes(oc)
+        for cx, alone in ((full, build_oriented_complex(oc)),
+                          (frozen, build_oriented_complex(oc, contract_subdivider_edges=False))):
+            assert cx.variant == alone.variant
+            assert cx.basis == alone.basis
+            assert cx.diffs == alone.diffs
+        assert any(full.diffs[k] != frozen.diffs[k] for k in full.diffs)
+
+
+def test_assembled_differentials_hold_ints():
+    for (g, n) in [(1, 2), (0, 4)]:
+        mx, ox = pair(g, n)
+        for cx in (mx, ox):
+            for m in cx.diffs.values():
+                assert all(type(v) is int for v in m.entries.values())
+
+
+def test_frozen_failures_name_the_variant():
+    _, frozen = build_oriented_complexes(generate_oriented(1, labels(2)))
+    k = next(k for k in frozen.degrees()
+             if frozen.dim(k) and k - 1 in frozen.diffs and frozen.diffs[k - 1].nnz)
+    (_, i) = min(frozen.diffs[k - 1].entries)
+    frozen.diffs[k].add(i, 0, 1)     # column i of d_{k-1} is not zero
+    with pytest.raises(ComplexError, match=r"oriented\(g=1,n=2\) \(subdividers_frozen\)"):
+        _check_d_squared(frozen)
+    cat = generate_oriented(1, labels(2))
+    low = min(cat.degrees())
+    cat.strata[low] = [e for e in cat.strata[low] if e.killed] + \
+        [e for e in cat.strata[low] if not e.killed][1:]
+    with pytest.raises(ComplexError, match=rf"degree {low + 1} \(subdividers_frozen\)"):
+        build_oriented_complex(cat, contract_subdivider_edges=False)
 
 
 @pytest.mark.parametrize("flavor, build", [("marked", build_marked_complex),

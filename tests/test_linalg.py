@@ -1,8 +1,13 @@
 """Exact sparse linear algebra: ranks, consensus, products, io, solving."""
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).parent))
+import reference_linalg
 
 from ogclab.linalg import (RankError, SparseIntMatrix, identity, kernel_basis,
                            multiply, read_matrix_market, solve_columns,
@@ -62,6 +67,58 @@ def test_consensus_detects_bad_small_prime_set():
     m = from_rows([[2, 0], [0, 2]])
     # random 31-bit primes never divide 2; consensus agrees with rational
     assert m.rank("consensus", seed=0) == 2
+
+
+def random_sparse(rng, with_fractions):
+    nrows, ncols = rng.randint(1, 14), rng.randint(1, 14)
+    m = SparseIntMatrix(nrows, ncols)
+    for _ in range(rng.randint(0, nrows * ncols)):
+        v = rng.choice([-6, -3, -2, -1, 1, 2, 3, 4, 6, 9])
+        if with_fractions and rng.random() < 0.3:
+            v = Fraction(v, rng.choice([3, 5, 7]))
+        m[rng.randrange(nrows), rng.randrange(ncols)] = v
+    if rng.random() < 0.3:
+        # a row combination, so the rank falls below the shape
+        i, k = rng.randrange(nrows), rng.randrange(nrows)
+        for j in range(ncols):
+            m.add(i, j, 2 * m[k, j])
+    return m
+
+
+def test_markowitz_modular_rank_matches_reference():
+    # 2 and 3 divide entries often enough for the modular rank to fall
+    # below the rational one, and 3 divides some denominators, where both
+    # eliminations must refuse
+    rng = random.Random(20221029)
+    below = 0
+    for case in range(300):
+        m = random_sparse(rng, with_fractions=case % 3 == 0)
+        rational = m.rank("rational")
+        assert rational == m.ncols - len(kernel_basis(m))
+        for p in (2, 3, 10007):
+            try:
+                expected = reference_linalg.rank_modular(m, p)
+            except RankError:
+                with pytest.raises(RankError):
+                    m.rank(("modular", p))
+                continue
+            got = m.rank(("modular", p))
+            assert got == expected
+            assert got <= rational
+            below += got < rational
+    assert below > 20
+
+
+def test_integral_entries_are_stored_as_int():
+    m = SparseIntMatrix(2, 2)
+    m[0, 0] = Fraction(4, 2)
+    m[0, 1] = Fraction(1, 2)
+    m[1, 1] = Fraction(0, 3)
+    assert m.entries == {(0, 0): 2, (0, 1): Fraction(1, 2)}
+    assert type(m[0, 0]) is int and type(m[0, 1]) is Fraction
+    assert type(m[1, 0]) is int and m[1, 0] == 0
+    m.add(0, 1, Fraction(1, 2))
+    assert type(m[0, 1]) is int and m[0, 1] == 1
 
 
 def test_check_consensus_passes():
