@@ -27,9 +27,9 @@ import os
 import shutil
 from dataclasses import dataclass, field
 
-from .graphs import (Graph, GraphError, StabilityProfile, genus, is_connected,
-                     is_stable, graph_from_json, graph_to_json)
-from .canonical import (canonicalize, decode_key, canonical_form, group_closure,
+from .graphs import (Graph, GraphError, StabilityProfile, is_connected, is_stable,
+                     graph_from_json, graph_to_json)
+from .canonical import (canonicalize, decode_key, group_closure, key_tuples,
                         automorphism_count, edge_orientation_killed, perm_parity)
 
 GENERATOR_VERSION = 1
@@ -537,10 +537,15 @@ def load_catalog(path: str) -> GraphCatalog:
                     raise GraphError(f"edge direction of {fp} disagrees with "
                                      f"the {flavor} catalog")
                 graph = Graph(graph.weights, (), graph.marks, directed=True)
-            cf = canonical_form(graph)
-            if not is_stable(graph, profile) or genus(graph) != cat.genus:
+            key, _, gens = canonicalize(graph.weights, graph.edges, graph.marks,
+                                        graph.directed)
+            # graph_from_json checked connectivity, so this is the genus
+            cell_genus = graph.n_edges - graph.n_vertices + 1 + sum(graph.weights)
+            if cell_genus != cat.genus or not is_stable(graph, profile):
                 raise GraphError(f"catalog file violates invariants: {fp}")
-            entry = _entry(flavor, cf.key, cf.graph, cf.gens)
+            # save_catalog writes the canonical graph, which need not be rebuilt
+            canon = graph if graph.key() == key_tuples(key) else decode_key(key)
+            entry = _entry(flavor, key, canon, gens)
             if (entry.killed, entry.aut_order) != (killed, aut_order):
                 raise GraphError(f"index disagrees with the automorphisms of {fp}")
             entries.append(entry)

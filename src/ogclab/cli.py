@@ -30,10 +30,25 @@ def _parse_range(text: str):
         for sep in ("..", "-"):
             if sep in text and not text.startswith("-"):
                 lo, hi = text.split(sep, 1)
-                return list(range(int(lo), int(hi) + 1))
-        return [int(text)]
+                values = list(range(int(lo), int(hi) + 1))
+                break
+        else:
+            values = [int(text)]
     except ValueError:
         raise GraphError(f"not an integer or range: {text!r}") from None
+    if not values:
+        raise GraphError(f"empty range: {text!r}")
+    return values
+
+
+def _cell_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"not a cell count (an integer >= 0): {text!r}")
+    return cap
 
 
 def _pairs(args):
@@ -148,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect")
-        p.add_argument("--max-cells", type=int, default=None)
+        p.add_argument("--max-cells", type=_cell_cap, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 

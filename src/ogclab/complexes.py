@@ -8,9 +8,13 @@ generators by summing admissible edge contractions with signs.  The
 cohomological vertex-splitting map is the transpose.
 
 Both differentials run one column loop (``_assemble``) over one admissibility
-rule: ``graphs.contract_edge`` on every edge that is neither a loop nor in a
-parallel bundle (either would raise a weight), keeping targets that are stable
-and, for directed graphs, acyclic.  Only the sign differs between the flavours.
+rule: contract every edge that is neither a loop nor in a parallel bundle
+(either would raise a weight), keeping targets that are stable and, for
+directed graphs, acyclic.  Only the sign differs between the flavours.  The
+loop works on the tuples decoded from each generator's canonical key, tests
+stability at the merged vertex and acyclicity by a path search, and hands
+the contracted tuples straight to ``canonicalize``; ``graphs.contract_edge``,
+``is_acyclic`` and ``is_stable`` are the public reference it agrees with.
 The subdivider-frozen oriented differential, the one the spanning-forest map
 commutes with on the nose, is the full one without the contractions of edges
 leaving a bivalent unmarked double-outgoing source; ``_assemble`` emits both
@@ -26,8 +30,8 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .graphs import Graph, StabilityProfile, contract_edge, is_acyclic, is_stable
-from .canonical import decode_key, canonical_form, perm_parity
+from .graphs import Graph, StabilityProfile
+from .canonical import canonicalize, decode_key, induced_edge_map, key_tuples, perm_parity
 from .catalogs import GraphCatalog
 from .linalg import SparseIntMatrix
 
@@ -127,49 +131,113 @@ def _check_oriented(catalog: GraphCatalog, d_parity: int) -> None:
         raise ComplexError("the oriented complex takes an odd parity")
 
 
-def _edge_order_sign(g: Graph, e: int, cf) -> int:
-    return (-1) ** e * perm_parity(cf.edge_map)
+def _edge_order_sign(edges, e, target_edges, vertex_map) -> int:
+    """``(-1)^e`` for removing edge ``e`` from the edge order, times the
+    parity of the edge relabelling ``vertex_map`` induces on the (undirected)
+    target."""
+    images = []
+    for (u, v) in target_edges:
+        a, b = vertex_map[u], vertex_map[v]
+        images.append((a, b) if a <= b else (b, a))
+    return (-1) ** e * perm_parity(
+        induced_edge_map(target_edges, vertex_map, sorted(images), False))
 
 
-def _vertex_order_sign(g: Graph, e: int, cf) -> int:
+def _vertex_order_sign(edges, e, target_edges, vertex_map) -> int:
     """Parity of moving the ends ``(a, b)`` of ``e`` to the front, times the
-    parity of the canonical relabelling on ``[merged] + rest``."""
-    (a, b) = g.edges[e]
-    hi = max(a, b)
-    rest = [v for v in range(g.n_vertices) if v not in (a, b)]
-    merged_first = [min(a, b)] + [v - (v > hi) for v in rest]
-    return perm_parity([a, b] + rest) * perm_parity(
-        [cf.vertex_map[x] for x in merged_first])
+    parity of the canonical relabelling on ``[merged] + rest``.  Moving ``a``
+    to the front takes ``a`` transpositions, then ``b`` takes ``b - (b > a)``;
+    ``[merged] + rest`` is the identity with ``min(a, b)`` moved to the
+    front, so its parity is ``(-1)^min(a, b)`` times that of
+    ``vertex_map``."""
+    (a, b) = edges[e]
+    return (-1) ** (a + b - (b > a) + min(a, b)) * perm_parity(vertex_map)
 
 
-def _admissible_contractions(g: Graph, profile: StabilityProfile):
+def _admissible_contractions(g, profile: StabilityProfile):
     """Yield ``(edge, target, subdivider)`` for every contraction in the
-    differential: never a loop or an edge with a parallel partner (either
-    would raise a weight), and the target must be stable and, when directed,
-    acyclic.  ``subdivider`` flags an edge leaving a bivalent unmarked
-    double-outgoing source, which the frozen variant leaves uncontracted."""
-    if g.directed:
-        deg, ind, out, hair = g.degree_data()
-    for i, (a, b) in enumerate(g.edges):
-        if a == b or g.parallel_count(i) > 0:
+    differential of ``g = (weights, edges, marks, directed)``, an acyclic
+    stable catalog cell; ``target`` is the contracted graph in the same
+    tuple form, equal to ``graphs.contract_edge``'s result.
+
+    Never a loop or an edge with a parallel partner: either would raise a
+    weight.  The target must be stable and, when directed, acyclic, which is
+    decided locally.  Only the merged vertex changes its degrees, so it alone
+    is tested for stability.  Contracting ``a -> b`` closes a directed cycle
+    iff another directed path leads from ``a`` to ``b``.  ``subdivider``
+    flags an edge leaving a bivalent unmarked double-outgoing source, which
+    the frozen variant leaves uncontracted."""
+    weights, edges, marks, directed = g
+    nv = len(weights)
+    # per vertex as is_stable counts them: valence with a loop counted
+    # three times, half-edges in, half-edges out (hairs included)
+    val, n_in, n_out, hair = [0] * nv, [0] * nv, [0] * nv, [0] * nv
+    succ = [[] for _ in range(nv)]
+    bundles = {}
+    for (u, v) in edges:
+        val[u] += 1
+        val[v] += 1 + (u == v)
+        pair = (u, v) if u <= v else (v, u)
+        bundles[pair] = bundles.get(pair, 0) + 1
+        if directed:
+            n_out[u] += 1
+            n_in[v] += 1
+            succ[u].append(v)
+    for (_, v) in marks:
+        hair[v] += 1
+        val[v] += 1
+        n_out[v] += 1
+    if not directed:
+        n_out = val
+    d_in, d_out = (1, 1) if directed else (0, 2)
+    for e, (a, b) in enumerate(edges):
+        if a == b or bundles[(a, b) if a < b else (b, a)] > 1:
             continue
-        target = contract_edge(g, i)
-        if g.directed and not is_acyclic(target):
+        if not profile.admits(weights[a] + weights[b], val[a] + val[b] - 2,
+                              n_in[a] + n_in[b] - d_in, n_out[a] + n_out[b] - d_out,
+                              hair[a] + hair[b]):
             continue
-        if is_stable(target, profile):
-            subdivider = g.directed and (hair[a], ind[a], out[a], deg[a]) == (0, 0, 2, 2)
-            yield i, target, subdivider
+        if directed and _reaches(succ, a, b):
+            continue
+        lo, hi = (a, b) if a < b else (b, a)
+        relabel = list(range(hi)) + [lo] + list(range(hi, nv - 1))
+        tweights = list(weights)
+        tweights[lo] += weights[hi]
+        del tweights[hi]
+        tedges = []
+        for (u, v) in edges[:e] + edges[e + 1:]:
+            u, v = relabel[u], relabel[v]
+            tedges.append((u, v) if directed or u <= v else (v, u))
+        tmarks = tuple((l, relabel[v]) for (l, v) in marks)
+        subdivider = directed and hair[a] == 0 and n_in[a] == 0 and n_out[a] == 2
+        yield e, (tuple(tweights), tuple(tedges), tmarks, directed), subdivider
+
+
+def _reaches(succ, a, b) -> bool:
+    """Whether a directed path of length at least two leads from ``a`` to
+    ``b``, for ``a -> b`` an edge without a parallel partner."""
+    seen = [False] * len(succ)
+    stack = [c for c in succ[a] if c != b]
+    while stack:
+        u = stack.pop()
+        if u == b:
+            return True
+        if not seen[u]:
+            seen[u] = True
+            stack.extend(succ[u])
+    return False
 
 
 def _assemble(catalog: GraphCatalog, d_parity: int, variants, sign) -> list:
     """The one column loop behind both complexes, returning one complex per
     name in ``variants``.  The column of generator ``g`` in degree ``k``
-    sums ``sign(g, e, cf)`` over the admissible contractions of ``g``, ``cf``
-    being the canonical form of the target; each contraction is
-    canonicalised once, and a ``subdividers_frozen`` variant skips the
-    subdivider edges.  A target with an orientation-reversing automorphism
-    is zero; one missing from the catalog means the catalog is not closed
-    under contraction, and raises."""
+    sums ``sign(edges, e, target_edges, vertex_map)`` over the admissible
+    contractions of ``g``, ``vertex_map`` being the canonical relabelling of
+    the target; each contraction is canonicalised once, and a
+    ``subdividers_frozen`` variant skips the subdivider edges.  A target
+    with an orientation-reversing automorphism is zero; one missing from
+    the catalog means the catalog is not closed under contraction, and
+    raises."""
     basis, index, killed = {}, {}, set()
     for deg in catalog.degrees():
         basis[deg] = [e.key for e in catalog.strata[deg] if not e.killed]
@@ -179,29 +247,29 @@ def _assemble(catalog: GraphCatalog, d_parity: int, variants, sign) -> list:
                          labels=catalog.labels, d_parity=d_parity, basis=basis,
                          variant=variant, _index=index) for variant in variants]
     where = f"{catalog.flavor}(g={catalog.genus},n={len(catalog.labels)})"
+    unfrozen = [v for v in variants if v != "subdividers_frozen"]
     for k in sorted(basis):
         mats = {v: SparseIntMatrix(len(basis.get(k - 1, ())), len(basis[k]))
                 for v in variants}
         for col, key in enumerate(basis[k]):
-            g = decode_key(key)
+            g = key_tuples(key)
             for e, target, subdivider in _admissible_contractions(g, catalog.profile):
-                takers = [v for v in variants
-                          if not (subdivider and v == "subdividers_frozen")]
+                takers = unfrozen if subdivider else variants
                 if not takers:
                     continue
-                cf = canonical_form(target)
-                pos = index.get(cf.key)
+                tkey, vertex_map, _ = canonicalize(*target)
+                pos = index.get(tkey)
                 if pos is None:
-                    if cf.key in killed:
+                    if tkey in killed:
                         continue
                     raise ComplexError(
                         f"{where} degree {k} ({', '.join(takers)}): contracting "
-                        f"edge {e} of generator {col} ({g!r}) gives "
-                        f"{cf.graph!r}, which is not in the catalog")
+                        f"edge {e} of generator {col} ({decode_key(key)!r}) gives "
+                        f"{decode_key(tkey)!r}, which is not in the catalog")
                 (kk, row) = pos
                 if kk != k - 1:
                     raise ComplexError("contraction changed the degree by != 1")
-                s = sign(g, e, cf)
+                s = sign(g[1], e, target[1], vertex_map)
                 for v in takers:
                     mats[v].add(row, col, s)
         for cx in cxs:

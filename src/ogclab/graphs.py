@@ -16,8 +16,10 @@ directed edge the first end is the source.  Marking labels behave as outgoing
 half-edge stubs ("hairs"): they count towards valence and towards the
 outgoing degree of their vertex.
 
-``contract_edge`` is the one contraction move both complexes are built on.
-``contract_loop`` raises a vertex weight instead, so no differential uses it.
+``contract_edge`` is the contraction both differentials sum over; the
+assembly in ``complexes`` performs it on key tuples, and this function is its
+public reference.  ``contract_loop`` raises a vertex weight instead, so no
+differential uses it.
 """
 from __future__ import annotations
 
@@ -197,6 +199,20 @@ class StabilityProfile:
                                 forbid_passing=True, require_outgoing=True,
                                 require_marking_everywhere=strict)
 
+    def admits(self, weight, valence, n_in, n_out, hairs) -> bool:
+        """Whether one vertex passes.  ``valence`` and ``n_out`` count its
+        hairs; ``n_in`` is 0 in an undirected graph, where every half-edge
+        counts as outgoing."""
+        minval = self.min_valence.get(weight)
+        if minval is not None and valence < minval:
+            return False
+        if weight == 0:
+            if self.require_outgoing and n_out < 1:
+                return False
+            if self.forbid_passing and n_in == 1 and n_out == 1:
+                return False
+        return hairs > 0 or not self.require_marking_everywhere
+
 
 def is_stable(g: Graph, profile: StabilityProfile) -> bool:
     deg, ind, out, hair = g.degree_data()
@@ -205,19 +221,12 @@ def is_stable(g: Graph, profile: StabilityProfile) -> bool:
         if u == v:
             loops[u] += 1
     for v in range(g.n_vertices):
-        w = g.weights[v]
         val = deg[v] + loops[v] + hair[v]
-        minval = profile.min_valence.get(w)
-        if minval is not None and val < minval:
-            return False
-        if profile.require_outgoing and w == 0:
-            n_out = (out[v] if g.directed else deg[v] + loops[v]) + hair[v]
-            if n_out < 1:
-                return False
-        if profile.forbid_passing and w == 0 and g.directed:
-            if ind[v] == 1 and out[v] + hair[v] == 1:
-                return False
-        if profile.require_marking_everywhere and hair[v] == 0:
+        if g.directed:
+            n_in, n_out = ind[v], out[v] + hair[v]
+        else:
+            n_in, n_out = 0, val
+        if not profile.admits(g.weights[v], val, n_in, n_out, hair[v]):
             return False
     return True
 

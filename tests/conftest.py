@@ -1,4 +1,12 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if item.path.name == "test_acceptance.py":
+            item.add_marker(pytest.mark.acceptance)

@@ -8,7 +8,7 @@ sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 import oracle
 import reference_canon
 
-from ogclab.graphs import Graph
+from ogclab.graphs import Graph, GraphError
 from ogclab.canonical import (canonical_form, canonicalize, decode_key,
                               edge_orientation_killed, encode_key,
                               group_closure, induced_edge_map, perm_parity)
@@ -249,3 +249,13 @@ def test_core_counts_pinned():
 ])
 def test_cores_match_reference(args):
     assert connected_cores(*args) == reference_canon.connected_cores(*args)
+
+
+def test_byte_range_checked_before_the_search():
+    with pytest.raises(GraphError, match="byte encoding"):
+        canonicalize((256,), (), ((1, 0),), False)
+    with pytest.raises(GraphError, match="byte encoding"):
+        canonicalize((0, 0), ((0, 1),), ((256, 0),), False)
+    with pytest.raises(GraphError, match="byte encoding"):
+        canonicalize((0,), ((0, 0),) * 128, ((1, 0),), False)
+    assert canonicalize((255,), ((0, 0),) * 127, ((255, 0),), False)[0]

@@ -9,8 +9,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 import oracle
 
-from ogclab.graphs import (Graph, GraphError, StabilityProfile, genus,
-                           is_acyclic, is_stable)
+from ogclab.graphs import (Graph, GraphError, StabilityProfile, contract_edge,
+                           genus, is_acyclic, is_stable)
 from ogclab.canonical import canonical_form
 from ogclab.catalogs import (ResourceCapExceeded, generate_marked,
                              generate_or_load, generate_oriented, load_catalog,
@@ -179,7 +179,9 @@ def test_forest_counts_match_exhaustive_enumeration():
 # The contractions both differentials sum over, under the one admissibility rule.
 
 def targets(graph, profile):
-    return list(_admissible_contractions(graph, profile))
+    """``(edge, target, subdivider)`` per contraction, the target as a Graph."""
+    return [(e, Graph(*target), flag)
+            for e, target, flag in _admissible_contractions(graph.key(), profile)]
 
 
 def test_contraction_targets_corolla_empty():
@@ -202,6 +204,22 @@ def test_contraction_targets_flag_subdivider_edges():
     assert [(e, flag) for e, _, flag in out] == [(0, True), (1, True)]
     marked = Graph([0, 0, 0], [(0, 1), (0, 2)], [(1, 1), (2, 1), (3, 2), (4, 2), (5, 0)])
     assert not any(flag for _, _, flag in targets(marked, StabilityProfile.marked()))
+
+
+def test_contraction_targets_check_the_merged_vertex():
+    # a weight-1 vertex needing valence 4 absorbs an unmarked leaf: the
+    # merged vertex has valence 3, so the contraction is not admissible
+    profile = StabilityProfile("weighted", min_valence={1: 4})
+    g = Graph([1, 0], [(0, 1)], [(1, 0), (2, 0), (3, 0)])
+    assert is_stable(g, profile) and not is_stable(contract_edge(g, 0), profile)
+    assert targets(g, profile) == []
+    heavy = Graph([1, 2], [(0, 1)], [(1, 0), (2, 0), (3, 0)])
+    assert targets(heavy, profile) == [(0, Graph([3], [], [(1, 0), (2, 0), (3, 0)]), False)]
+    # a source feeding a sink, whose other edge comes in: merged, it passes
+    passing = StabilityProfile("passing", forbid_passing=True)
+    g = Graph([0, 0, 0, 0], [(0, 1), (0, 2), (3, 1)], directed=True)
+    assert is_stable(g, passing) and not is_stable(contract_edge(g, 0), passing)
+    assert [e for e, _, _ in targets(g, passing)] == [1, 2]
 
 
 def test_contraction_targets_classify_and_preserve_genus():

@@ -3,6 +3,8 @@ import json
 import os
 from pathlib import Path
 
+import pytest
+
 from ogclab.cli import main
 
 
@@ -151,3 +153,22 @@ def test_export_matrices_without_out_is_usage_error(capsys):
     assert run(["betti", "-g", "1", "-n", "1", "--flavor", "marked",
                 "--export-matrices"]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["enumerate", "betti", "verify-zivkovic"])
+def test_empty_range_is_usage_error(tmp_path, capsys, command):
+    for genus, markings in [("2..1", "1"), ("1", "3..2")]:
+        out = tmp_path / "out"
+        assert run([command, "-g", genus, "-n", markings, "--out", str(out)]) == 2
+        assert "empty range" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_negative_cell_cap_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["enumerate", "-g", "1", "-n", "1", "--max-cells", "-5",
+                "--out", str(out)]) == 2
+    assert "--max-cells" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["enumerate", "-g", "1", "-n", "1", "--max-cells", "0",
+                "--out", str(out)]) == 3

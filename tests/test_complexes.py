@@ -6,13 +6,17 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 import oracle
+import reference_complexes as ref
 
+from ogclab.canonical import canonical_form, canonicalize, decode_key, key_tuples
 from ogclab.catalogs import generate_marked, generate_oriented
-from ogclab.complexes import (ComplexError, _check_d_squared, betti,
-                              betti_shift_matches, build_marked_complex,
-                              build_oriented_complex, build_oriented_complexes,
-                              cell_degree_from_hc, euler_characteristic,
-                              hc_degree)
+from ogclab.complexes import (ComplexError, _admissible_contractions,
+                              _check_d_squared, _edge_order_sign, _reaches,
+                              _vertex_order_sign, betti, betti_shift_matches,
+                              build_marked_complex, build_oriented_complex,
+                              build_oriented_complexes, cell_degree_from_hc,
+                              euler_characteristic, hc_degree)
+from ogclab.graphs import contract_edge, is_acyclic, is_stable
 
 
 def labels(n):
@@ -210,3 +214,42 @@ def test_betti_csv_and_json_encode_same_numbers():
         assert int(rc["betti"]) == rj["betti"]
         assert int(rc["dim_basis"]) == rj["dim_basis"]
         assert int(rc["cell_degree"]) == rj["cell_degree"]
+
+
+@pytest.mark.parametrize("flavor", ["marked", "oriented"])
+def test_tuple_contractions_match_graph_reference(flavor):
+    # every edge of every cell, killed ones included, against the Graph-based
+    # rule: same admissible edges, targets, subdivider flags and signs, and
+    # the local cycle and stability tests agree with the whole-graph ones.
+    # Contracting a stable weight-0 cell never leaves an unstable vertex, so
+    # here only the cycle test rejects; test_catalogs covers the other.
+    gen, sign, ref_sign = ((generate_marked, _edge_order_sign, ref.edge_order_sign)
+                           if flavor == "marked" else
+                           (generate_oriented, _vertex_order_sign, ref.vertex_order_sign))
+    cycles = 0
+    for (g, n) in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (0, 3), (0, 4)]:
+        cat = gen(g, labels(n))
+        for entry in cat.entries():
+            graph, tuples = decode_key(entry.key), key_tuples(entry.key)
+            fast = list(_admissible_contractions(tuples, cat.profile))
+            slow = list(ref.admissible_contractions(graph, cat.profile))
+            assert [(e, flag) for e, _, flag in fast] == [(e, flag) for e, _, flag in slow]
+            for (e, target, _), (_, ref_target, _) in zip(fast, slow):
+                assert target == ref_target.key()
+                key, vertex_map, _ = canonicalize(*target)
+                cf = canonical_form(ref_target)
+                assert key == cf.key
+                assert sign(tuples[1], e, target[1], vertex_map) == ref_sign(graph, e, cf)
+            admitted = {e for e, _, _ in fast}
+            succ = [[v for (u, v) in graph.edges if u == x] for x in range(graph.n_vertices)]
+            for e, (a, b) in enumerate(graph.edges):
+                if a == b or graph.parallel_count(e):
+                    continue
+                target = contract_edge(graph, e)
+                acyclic = not graph.directed or is_acyclic(target)
+                stable = is_stable(target, cat.profile)
+                assert (e in admitted) == (acyclic and stable)
+                if graph.directed:
+                    assert _reaches(succ, a, b) == (not acyclic)
+                cycles += not acyclic
+    assert cycles > 0 if flavor == "oriented" else cycles == 0
