@@ -222,7 +222,7 @@ def test_tuple_contractions_match_graph_reference(flavor):
     # rule: same admissible edges, targets, subdivider flags and signs, and
     # the local cycle and stability tests agree with the whole-graph ones.
     # Contracting a stable weight-0 cell never leaves an unstable vertex, so
-    # here only the cycle test rejects; test_catalogs covers the other.
+    # here only the cycle test rejects; test_catalogs covers the other one.
     gen, sign, ref_sign = ((generate_marked, _edge_order_sign, ref.edge_order_sign)
                            if flavor == "marked" else
                            (generate_oriented, _vertex_order_sign, ref.vertex_order_sign))
@@ -248,6 +248,7 @@ def test_tuple_contractions_match_graph_reference(flavor):
                 target = contract_edge(graph, e)
                 acyclic = not graph.directed or is_acyclic(target)
                 stable = is_stable(target, cat.profile)
+                assert stable
                 assert (e in admitted) == (acyclic and stable)
                 if graph.directed:
                     assert _reaches(succ, a, b) == (not acyclic)
