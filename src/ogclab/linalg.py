@@ -1,15 +1,17 @@
 """Exact sparse linear algebra over the rationals and over prime fields.
 
-Every rank runs one Gaussian elimination loop (``_markowitz_rank``) with a
-Markowitz-style pivot: the shortest live row, at its sparsest column, which
-keeps fill low on sparse differentials (cf. Dumas, Elbaz-Vincent, Giorgi &
-Urbanska, arXiv:0704.2351).  Only the row update differs by field: over the
-integers it is fraction-free (cross-multiply, then divide by the row's
-content gcd), over Z/p it subtracts a multiple of the pivot row scaled by the
-pivot's inverse.  The consensus mode runs several random 31-bit primes and
-escalates to the rational computation unless they agree unanimously.
-``kernel_basis`` and ``solve_columns`` keep their own smallest-column pivot,
-which fixes the solutions they return.
+Every row reduction runs one Gaussian elimination loop (``_eliminate``).
+Ranks take a Markowitz-style pivot: the shortest live row, at its sparsest
+column, which keeps fill low on sparse differentials (cf. Dumas, Elbaz-Vincent,
+Giorgi & Urbanska, arXiv:0704.2351).  ``solve_columns`` and ``kernel_basis``
+take the leftmost live column and keep the pivot rows fully reduced, so their
+pivot columns are the leftmost echelon set whatever the row order, which fixes
+the solutions they return.  Only the row update differs by field: over the
+integers it is fraction-free (cross-multiply, then divide by the row's content
+gcd; Bareiss, Math. Comp. 1968), over Z/p it subtracts a multiple of the pivot
+row scaled by the pivot's inverse.  The consensus mode runs several random
+31-bit primes and escalates to the rational computation unless they agree
+unanimously.
 
 Matrices store integral entries as ``int``; only a non-integral value, such
 as an entry of a solution from ``solve_columns``, is kept as ``Fraction``.
@@ -19,7 +21,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, lcm
 
 
 class RankError(RuntimeError):
@@ -140,14 +142,14 @@ class SparseIntMatrix:
     def _rank_rational(self):
         """Exact integer elimination: the Markowitz loop with fraction-free
         row updates, each updated row renormalised by its content gcd."""
-        return _markowitz_rank([_gcd_reduce(r) for r in self._int_rows() if r],
-                               _fraction_free_update)
+        return len(_eliminate([_gcd_reduce(r) for r in self._int_rows()],
+                              False, _fraction_free_update))
 
     def _rank_modular(self, p):
         """Rank over Z/p: the Markowitz loop with the pivot row scaled by
         its inverse.  At most the rational rank."""
-        if p < 2:
-            raise ValueError("modulus must be at least 2")
+        if not _is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
         rows = []
         for r in self.rows().values():
             row = {}
@@ -160,7 +162,7 @@ class SparseIntMatrix:
                     row[j] = val
             if row:
                 rows.append(row)
-        return _markowitz_rank(rows, partial(_modular_update, p))
+        return len(_eliminate(rows, False, partial(_modular_update, p)))
 
     def check_consensus(self, seed=0, primes=3, name="matrix"):
         """Assert that consensus and rational ranks agree; return the rank."""
@@ -172,45 +174,70 @@ class SparseIntMatrix:
         return rational
 
 
-def _markowitz_rank(rows, update):
-    """Rank of the nonzero sparse ``rows`` by Gaussian elimination.  Pivot:
-    the shortest live row (lowest index among equals), at its sparsest
-    column (lowest column among equals), which keeps fill low.
-    ``update(piv_row, pj)`` returns the row operation clearing column
-    ``pj`` with that pivot; it maps a row to its reduced copy, without
-    column ``pj`` and with no zero entries."""
-    rows = dict(enumerate(rows))
+def _eliminate(rows, leftmost, update):
+    """Gaussian elimination on the nonzero sparse ``rows`` (dicts column ->
+    value).  Returns the pivots as ``(column, row index)`` pairs in
+    elimination order; their number is the rank.
+
+    Pivot rule: with ``leftmost`` false, the shortest live row (lowest index
+    among equals) at its sparsest column (lowest among equals), which keeps
+    fill low; a finished pivot row is dropped.  With ``leftmost`` true, the
+    leftmost column that a live row holds, in its shortest holder; finished
+    pivot rows stay in ``rows`` and every later pivot clears its column from
+    them too, so they end fully reduced.
+
+    ``update(piv_row, pj)`` returns the row operation clearing column ``pj``
+    with that pivot; it maps a row to its reduced copy, without column
+    ``pj`` and with no zero entries."""
+    live = dict(enumerate(rows))
     col_rows = {}
     by_len = {}
-    for ri, r in rows.items():
+    for ri, r in live.items():
         by_len.setdefault(len(r), set()).add(ri)
         for j in r:
             col_rows.setdefault(j, set()).add(ri)
-    rank = 0
-    while rows:
-        length = min(l for l, b in by_len.items() if b)
-        pri = min(by_len[length])
-        by_len[length].discard(pri)
-        piv_row = rows.pop(pri)
-        pj = min(piv_row, key=lambda j: (len(col_rows[j]), j))
-        rank += 1
-        for j in piv_row:
-            col_rows[j].discard(pri)
+    order = sorted(col_rows)
+    at = 0
+    pivots = []
+    while live:
+        if leftmost:
+            # live rows only ever hold columns right of the last pivot
+            while not any(ri in live for ri in col_rows[order[at]]):
+                at += 1
+            pj = order[at]
+            pri = min((ri for ri in col_rows[pj] if ri in live),
+                      key=lambda ri: (len(live[ri]), ri))
+        else:
+            length = min(l for l, b in by_len.items() if b)
+            pri = min(by_len[length])
+            pj = min(live[pri], key=lambda j: (len(col_rows[j]), j))
+        piv_row = live.pop(pri)
+        by_len[len(piv_row)].discard(pri)
+        pivots.append((pj, pri))
+        if leftmost:
+            rows[pri] = piv_row
+            col_rows[pj].discard(pri)
+        else:
+            for j in piv_row:
+                col_rows[j].discard(pri)
         eliminate = update(piv_row, pj)
         for ri in sorted(col_rows[pj]):
-            r = rows[ri]
-            by_len[len(r)].discard(ri)
+            r = live[ri] if ri in live else rows[ri]
             for j in r:
                 col_rows[j].discard(ri)
             new = eliminate(r)
-            if new:
+            for j in new:
+                col_rows[j].add(ri)
+            if ri not in live:
                 rows[ri] = new
+                continue
+            by_len[len(r)].discard(ri)
+            if new:
+                live[ri] = new
                 by_len.setdefault(len(new), set()).add(ri)
-                for j in new:
-                    col_rows.setdefault(j, set()).add(ri)
             else:
-                del rows[ri]
-    return rank
+                del live[ri]
+    return pivots
 
 
 def _fraction_free_update(piv_row, pj):
@@ -318,110 +345,48 @@ def identity(n: int) -> SparseIntMatrix:
 
 
 def kernel_basis(m: SparseIntMatrix):
-    """Integer basis vectors (dicts col->value) spanning ker(m) over Q."""
-    rows = [dict(r) for r in m.rows().values()]
-    pivots = {}
-    for row in rows:
-        row = {j: Fraction(v) for j, v in row.items()}
-        while row:
-            j = min(row)
-            if j in pivots:
-                f = row[j]
-                for jj, vv in pivots[j].items():
-                    nv = row.get(jj, Fraction(0)) - f * vv
-                    if nv:
-                        row[jj] = nv
-                    else:
-                        row.pop(jj, None)
-            else:
-                pv = row[j]
-                pivots[j] = {jj: vv / pv for jj, vv in row.items()}
-                break
-    # full back-substitution so every pivot row only involves free columns
-    for j in sorted(pivots, reverse=True):
-        row = pivots[j]
-        for jj in sorted(k for k in row if k != j and k in pivots):
-            f = row[jj]
-            for kk, vv in pivots[jj].items():
-                if kk == jj:
-                    row.pop(jj, None)
-                    continue
-                nv = row.get(kk, Fraction(0)) - f * vv
-                if nv:
-                    row[kk] = nv
-                else:
-                    row.pop(kk, None)
+    """Integer basis vectors (dicts col->value) spanning ker(m) over Q: one
+    per free column of the fully reduced rows, primitive and positive
+    there."""
+    rows = m._int_rows()
+    pivots = _eliminate(rows, True, _fraction_free_update)
+    holders = {}
+    for pj, ri in pivots:
+        for j, v in rows[ri].items():
+            if j != pj:
+                holders.setdefault(j, []).append((pj, rows[ri][pj], v))
     basis = []
-    for f in range(m.ncols):
-        if f in pivots:
-            continue
-        vec = {f: Fraction(1)}
-        for j, row in pivots.items():
-            v = row.get(f)
-            if v:
-                vec[j] = -v
-        den = 1
-        for v in vec.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        basis.append({j: int(v * den) for j, v in vec.items()})
+    free = sorted(set(range(m.ncols)) - {pj for pj, _ in pivots})
+    for f in free:
+        den = lcm(*(piv for _, piv, _ in holders.get(f, ())))
+        vec = {f: den}
+        for pj, piv, v in holders.get(f, ()):
+            vec[pj] = -v * den // piv
+        g = gcd(*vec.values())
+        basis.append({j: v // g for j, v in vec.items()})
     return basis
 
 
 def solve_columns(D: SparseIntMatrix, C: SparseIntMatrix):
     """One exact solution ``X`` of ``D X = C`` over Q, or ``None`` when some
     column of ``C`` lies outside the column span of ``D``.  Deterministic:
-    pivots are taken at the smallest live column."""
+    ``[D | C]`` is fully reduced at the leftmost live columns, and ``X`` is
+    the solution supported on the pivot columns of ``D``."""
     if D.nrows != C.nrows:
         raise ValueError("row counts disagree")
-    aug = {}
-    for (i, j), v in D.entries.items():
-        aug.setdefault(i, {})[(0, j)] = Fraction(v)
-    for (i, c), v in C.entries.items():
-        aug.setdefault(i, {})[(1, c)] = Fraction(v)
-    pivots = {}
-    inconsistent_rows = []
-    for i in sorted(aug):
-        row = dict(aug[i])
-        while True:
-            dcols = [j for (t, j) in row if t == 0]
-            if not dcols:
-                if any(t == 1 for (t, _) in row):
-                    inconsistent_rows.append(row)
-                break
-            j = min(dcols)
-            if j in pivots:
-                f = row[(0, j)]
-                for kk, vv in pivots[j].items():
-                    nv = row.get(kk, Fraction(0)) - f * vv
-                    if nv:
-                        row[kk] = nv
-                    else:
-                        row.pop(kk, None)
-            else:
-                pv = row[(0, j)]
-                pivots[j] = {kk: vv / pv for kk, vv in row.items()}
-                break
-    if inconsistent_rows:
+    aug = D.copy()
+    aug.ncols += C.ncols
+    aug.entries.update(((i, D.ncols + c), v) for (i, c), v in C.entries.items())
+    rows = aug._int_rows()
+    pivots = _eliminate(rows, True, _fraction_free_update)
+    if any(pj >= D.ncols for pj, _ in pivots):
         return None
-    # clean pivot rows top-down so each keeps only its own pivot column
-    for j in sorted(pivots, reverse=True):
-        row = pivots[j]
-        others = sorted(jj for (t, jj) in row if t == 0 and jj != j and jj in pivots)
-        for jj in others:
-            f = row.pop((0, jj))
-            for kk, vv in pivots[jj].items():
-                if kk == (0, jj):
-                    continue
-                nv = row.get(kk, Fraction(0)) - f * vv
-                if nv:
-                    row[kk] = nv
-                else:
-                    row.pop(kk, None)
     X = SparseIntMatrix(D.ncols, C.ncols)
-    for j, row in pivots.items():
-        for (t, c), v in row.items():
-            if t == 1 and v:
-                X[j, c] = v
+    for pj, ri in pivots:
+        row = rows[ri]
+        for j, v in row.items():
+            if j >= D.ncols:
+                X[pj, j - D.ncols] = Fraction(v, row[pj])
     return X
 
 
@@ -450,7 +415,12 @@ def read_matrix_market(path: str) -> SparseIntMatrix:
             line = fh.readline()
         nrows, ncols, nnz = map(int, line.split())
         m = SparseIntMatrix(nrows, ncols)
-        for _ in range(nnz):
-            i, j, v = fh.readline().split()
-            m[int(i) - 1, int(j) - 1] = int(v)
+        for k in range(nnz):
+            parts = fh.readline().split()
+            if len(parts) != 3:
+                raise ValueError(f"{path}: entry {k + 1} of {nnz} is missing or malformed")
+            i, j, v = map(int, parts)
+            if not (1 <= i <= nrows and 1 <= j <= ncols):
+                raise ValueError(f"{path}: entry ({i}, {j}) outside {nrows}x{ncols}")
+            m[i - 1, j - 1] = v
     return m

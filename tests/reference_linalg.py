@@ -1,14 +1,22 @@
-"""Reference for the Markowitz rank over Z/p.
+"""References for the shared elimination loop in ``ogclab.linalg``.
 
 ``rank_modular`` is the elimination ``SparseIntMatrix._rank_modular`` ran
 before it moved onto the shared Markowitz loop: rows are reduced in input
 order, each against the pivots found so far, always at its smallest live
 column, with no fill control.  It is slow on large differentials and kept
 only to check the Markowitz version against.
+
+``kernel_basis`` and ``solve_columns`` are the ``Fraction`` eliminations the
+package ran before both moved onto the same loop: rows in input order, each
+pivot normalised to one at the smallest live column, then a full
+back-substitution.  They are kept to check the integer versions against.
 """
 from __future__ import annotations
 
-from ogclab.linalg import RankError
+from fractions import Fraction
+from math import gcd
+
+from ogclab.linalg import RankError, SparseIntMatrix
 
 
 def rank_modular(m, p):
@@ -46,3 +54,111 @@ def rank_modular(m, p):
                 rank += 1
                 break
     return rank
+
+
+def kernel_basis(m: SparseIntMatrix):
+    """Integer basis vectors (dicts col->value) spanning ker(m) over Q."""
+    rows = [dict(r) for r in m.rows().values()]
+    pivots = {}
+    for row in rows:
+        row = {j: Fraction(v) for j, v in row.items()}
+        while row:
+            j = min(row)
+            if j in pivots:
+                f = row[j]
+                for jj, vv in pivots[j].items():
+                    nv = row.get(jj, Fraction(0)) - f * vv
+                    if nv:
+                        row[jj] = nv
+                    else:
+                        row.pop(jj, None)
+            else:
+                pv = row[j]
+                pivots[j] = {jj: vv / pv for jj, vv in row.items()}
+                break
+    # full back-substitution so every pivot row only involves free columns
+    for j in sorted(pivots, reverse=True):
+        row = pivots[j]
+        for jj in sorted(k for k in row if k != j and k in pivots):
+            f = row[jj]
+            for kk, vv in pivots[jj].items():
+                if kk == jj:
+                    row.pop(jj, None)
+                    continue
+                nv = row.get(kk, Fraction(0)) - f * vv
+                if nv:
+                    row[kk] = nv
+                else:
+                    row.pop(kk, None)
+    basis = []
+    for f in range(m.ncols):
+        if f in pivots:
+            continue
+        vec = {f: Fraction(1)}
+        for j, row in pivots.items():
+            v = row.get(f)
+            if v:
+                vec[j] = -v
+        den = 1
+        for v in vec.values():
+            den = den * v.denominator // gcd(den, v.denominator)
+        basis.append({j: int(v * den) for j, v in vec.items()})
+    return basis
+
+
+def solve_columns(D: SparseIntMatrix, C: SparseIntMatrix):
+    """One exact solution ``X`` of ``D X = C`` over Q, or ``None`` when some
+    column of ``C`` lies outside the column span of ``D``.  Deterministic:
+    pivots are taken at the smallest live column."""
+    if D.nrows != C.nrows:
+        raise ValueError("row counts disagree")
+    aug = {}
+    for (i, j), v in D.entries.items():
+        aug.setdefault(i, {})[(0, j)] = Fraction(v)
+    for (i, c), v in C.entries.items():
+        aug.setdefault(i, {})[(1, c)] = Fraction(v)
+    pivots = {}
+    inconsistent_rows = []
+    for i in sorted(aug):
+        row = dict(aug[i])
+        while True:
+            dcols = [j for (t, j) in row if t == 0]
+            if not dcols:
+                if any(t == 1 for (t, _) in row):
+                    inconsistent_rows.append(row)
+                break
+            j = min(dcols)
+            if j in pivots:
+                f = row[(0, j)]
+                for kk, vv in pivots[j].items():
+                    nv = row.get(kk, Fraction(0)) - f * vv
+                    if nv:
+                        row[kk] = nv
+                    else:
+                        row.pop(kk, None)
+            else:
+                pv = row[(0, j)]
+                pivots[j] = {kk: vv / pv for kk, vv in row.items()}
+                break
+    if inconsistent_rows:
+        return None
+    # clean pivot rows top-down so each keeps only its own pivot column
+    for j in sorted(pivots, reverse=True):
+        row = pivots[j]
+        others = sorted(jj for (t, jj) in row if t == 0 and jj != j and jj in pivots)
+        for jj in others:
+            f = row.pop((0, jj))
+            for kk, vv in pivots[jj].items():
+                if kk == (0, jj):
+                    continue
+                nv = row.get(kk, Fraction(0)) - f * vv
+                if nv:
+                    row[kk] = nv
+                else:
+                    row.pop(kk, None)
+    X = SparseIntMatrix(D.ncols, C.ncols)
+    for j, row in pivots.items():
+        for (t, c), v in row.items():
+            if t == 1 and v:
+                X[j, c] = v
+    return X

@@ -1,5 +1,6 @@
 """Exact sparse linear algebra: ranks, consensus, products, io, solving."""
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -69,8 +70,8 @@ def test_consensus_detects_bad_small_prime_set():
     assert m.rank("consensus", seed=0) == 2
 
 
-def random_sparse(rng, with_fractions):
-    nrows, ncols = rng.randint(1, 14), rng.randint(1, 14)
+def random_sparse(rng, with_fractions, nrows=None):
+    nrows, ncols = nrows or rng.randint(1, 14), rng.randint(1, 14)
     m = SparseIntMatrix(nrows, ncols)
     for _ in range(rng.randint(0, nrows * ncols)):
         v = rng.choice([-6, -3, -2, -1, 1, 2, 3, 4, 6, 9])
@@ -107,6 +108,49 @@ def test_markowitz_modular_rank_matches_reference():
             assert got <= rational
             below += got < rational
     assert below > 20
+
+
+def test_modular_rank_rejects_composite_modulus():
+    # 4 made pow fail on a non-invertible pivot; 9 returned a number that
+    # is not the rank over any field
+    m = from_rows([[2, 1], [1, 3]])
+    for q in (4, 9):
+        with pytest.raises(ValueError, match=f"modulus {q} is not prime"):
+            m.rank(("modular", q))
+
+
+def test_solve_and_kernel_match_reference():
+    # leftmost pivots give the solution the Fraction elimination gave; the
+    # right-hand sides carry fractions, and unrelated ones are mostly
+    # inconsistent
+    rng = random.Random(20230517)
+    solved = inconsistent = 0
+    for case in range(300):
+        d = random_sparse(rng, with_fractions=case % 4 == 0)
+        if case % 3 == 0:
+            c = random_sparse(rng, with_fractions=True, nrows=d.nrows)
+        else:
+            c = multiply(d, random_sparse(rng, with_fractions=True, nrows=d.ncols))
+        expected = reference_linalg.solve_columns(d, c)
+        x = solve_columns(d, c)
+        assert x == expected
+        if x is None:
+            inconsistent += 1
+        else:
+            solved += 1
+            assert multiply(d, x) == c
+        basis = kernel_basis(d)
+        assert len(basis) == d.ncols - d.rank("rational")
+        for vec in basis:
+            assert all(sum(d[i, j] * v for j, v in vec.items()) == 0
+                       for i in range(d.nrows))
+        ref = reference_linalg.kernel_basis(d)
+        both = SparseIntMatrix(len(basis) + len(ref), d.ncols)
+        for i, vec in enumerate(basis + ref):
+            for j, v in vec.items():
+                both[i, j] = v
+        assert both.rank("rational") == len(basis) == len(ref)
+    assert solved > 150 and inconsistent > 50
 
 
 def test_integral_entries_are_stored_as_int():
@@ -202,6 +246,23 @@ def test_matrix_market_round_trip(tmp_path):
     assert back == m
     header = path.read_text().splitlines()[0]
     assert header == "%%MatrixMarket matrix coordinate integer general"
+
+
+def test_matrix_market_short_file_names_path(tmp_path):
+    path = tmp_path / "short.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate integer general\n"
+                    "2 2 3\n1 1 5\n2 2 1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: entry 3 of 3")):
+        read_matrix_market(str(path))
+
+
+@pytest.mark.parametrize("entry", ["3 1 5", "1 0 5"])
+def test_matrix_market_entry_outside_shape_names_path(tmp_path, entry):
+    path = tmp_path / "outside.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate integer general\n"
+                    f"2 2 1\n{entry}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: entry (")):
+        read_matrix_market(str(path))
 
 
 def test_matrix_market_rejects_fractions(tmp_path):

@@ -2,13 +2,16 @@
 and the induced isomorphism on cohomology."""
 import pytest
 
+import reference_linalg
 from ogclab.graphs import (Graph, GraphError, StabilityProfile, contract_edge,
                            genus, is_acyclic, is_stable)
 from ogclab.canonical import canonical_form
 from ogclab.catalogs import generate_marked, generate_oriented, spanning_forests
-from ogclab.complexes import build_marked_complex, build_oriented_complex
-from ogclab.zivkovic import (forest_orient, psi_matrix, run_verification,
-                             verify_chain_map, verify_quasi_iso)
+from ogclab.complexes import build_marked_complex, build_oriented_complexes
+from ogclab.linalg import SparseIntMatrix, multiply
+from ogclab.zivkovic import (_induced_rank, forest_orient, psi_matrix,
+                             run_verification, verify_chain_map,
+                             verify_quasi_iso)
 
 
 def labels(n):
@@ -23,8 +26,7 @@ def stack(g, n):
         mc = generate_marked(g, labels(n))
         oc = generate_oriented(g, labels(n))
         mx = build_marked_complex(mc)
-        full = build_oriented_complex(oc)
-        frozen = build_oriented_complex(oc, contract_subdivider_edges=False)
+        full, frozen = build_oriented_complexes(oc)
         _cache[(g, n)] = (mx, full, frozen)
     return _cache[(g, n)]
 
@@ -174,6 +176,47 @@ def test_quasi_iso_fails_at_genus_zero_with_clumped_labels():
     _, completed = verify_chain_map(psi, mx, full, frozen)
     report = verify_quasi_iso(completed, mx, full)
     assert not report.passed
+
+
+def kernel_induced_rank(psi_k, marked, oriented, k):
+    """The induced rank as a kernel projection: map a basis of ker d_k
+    through psi_k and count what the oriented boundaries do not span."""
+    n = len(marked.labels)
+    z = reference_linalg.kernel_basis(marked.differential(k))
+    zmat = SparseIntMatrix(marked.dim(k), len(z))
+    for c, vec in enumerate(z):
+        for j, v in vec.items():
+            zmat[j, c] = v
+    pz = multiply(psi_k, zmat)
+    bnd = oriented.differential(k + n + 1)
+    both = SparseIntMatrix(pz.nrows, pz.ncols + bnd.ncols, pz.entries)
+    for (i, j), v in bnd.entries.items():
+        both[i, j + pz.ncols] = v
+    return both.rank("rational") - bnd.rank("rational")
+
+
+@pytest.mark.parametrize("g,n", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1),
+                                 (2, 2), (3, 1), (0, 3), (0, 4)])
+def test_block_rank_matches_kernel_projection(g, n):
+    # every marked degree, also those the verifier skips because both
+    # cohomology groups vanish there
+    mx, full, frozen = stack(g, n)
+    psi = psi_matrix(mx, full)
+    _, completed = verify_chain_map(psi, mx, full, frozen)
+    report = verify_quasi_iso(completed, mx, full)
+    rows = {row["marked_degree"]: row for row in report.per_degree}
+    for k in mx.degrees():
+        rank = _induced_rank(completed[k], mx, full, k)
+        assert rank == kernel_induced_rank(completed[k], mx, full, k), (g, n, k)
+        row = rows[k]
+        assert row["induced_rank"] == (rank if row["h_marked"] or row["h_oriented"] else 0)
+    if g == 0:
+        # psi vanishes, so cohomology in the top degree is missed
+        assert all(m.is_zero() for m in completed.values())
+        assert any(row["h_marked"] and not row["iso"] for row in rows.values())
+        assert not report.passed
+    else:
+        assert report.passed
 
 
 def test_naturality_under_label_renaming():
