@@ -374,8 +374,7 @@ def solve_columns(D: SparseIntMatrix, C: SparseIntMatrix):
     the solution supported on the pivot columns of ``D``."""
     if D.nrows != C.nrows:
         raise ValueError("row counts disagree")
-    aug = D.copy()
-    aug.ncols += C.ncols
+    aug = SparseIntMatrix(D.nrows, D.ncols + C.ncols, D.entries)
     aug.entries.update(((i, D.ncols + c), v) for (i, c), v in C.entries.items())
     rows = aug._int_rows()
     pivots = _eliminate(rows, True, _fraction_free_update)

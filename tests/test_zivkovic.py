@@ -211,7 +211,7 @@ def test_block_rank_matches_kernel_projection(g, n):
         row = rows[k]
         assert row["induced_rank"] == (rank if row["h_marked"] or row["h_oriented"] else 0)
     if g == 0:
-        # psi vanishes, so cohomology in the top degree is missed
+        # psi vanishes, so the nonzero cohomology is missed
         assert all(m.is_zero() for m in completed.values())
         assert any(row["h_marked"] and not row["iso"] for row in rows.values())
         assert not report.passed
