@@ -4,16 +4,19 @@ The marked catalog holds connected weight-0 multigraphs of genus ``g`` whose
 vertices are at least trivalent counting marking hairs.  The oriented catalog
 holds connected acyclic directed weight-0 graphs whose vertices are at least
 bivalent, have an outgoing half-edge or marking, and are never passing
-(one edge in, one half-edge out).
+(one edge in, one half-edge out).  ``StabilityProfile.admits`` decides both.
 
-Both generators share a two-stage strategy: first the undirected cores are
-grown one edge at a time by canonical augmentation (McKay, *Isomorph-free
-exhaustive generation*, 1998), trying one new edge per automorphism orbit of
-the parent and keeping a child only when the new edge is in the orbit of its
-last canonical edge, so every core isomorphism class appears exactly once;
-then hair assignments (and, for the oriented flavour, per-edge
-subdivide/forward/backward decorations) are enumerated with deficit pruning
-and deduplicated through canonical keys.  The automorphism generators found
+One generator serves both flavours in two stages.  First the undirected
+cores are grown one edge at a time by canonical augmentation (McKay,
+*Isomorph-free exhaustive generation*, 1998), trying one new edge per
+automorphism orbit of the parent and keeping a child only when the new edge
+is in the orbit of its last canonical edge, so every core isomorphism class
+appears exactly once.  Then the cores are decorated: for the oriented
+flavour each edge is subdivided, directed forward or directed backward, and
+for both the markings are assigned so that each vertex gets at least the
+hairs ``_min_hairs`` reads off the profile.  Adding hairs never makes a
+vertex inadmissible, so every such assignment is stable; the decorations
+are deduplicated through canonical keys.  The automorphism generators found
 while canonicalising each cell give its kill flag and automorphism order.
 A subdivided edge stands for the bivalent double-outgoing source vertex, so
 oriented graphs of every shape arise from small cores.
@@ -27,7 +30,7 @@ import os
 import shutil
 from dataclasses import dataclass, field
 
-from .graphs import (Graph, GraphError, StabilityProfile, is_connected, is_stable,
+from .graphs import (Graph, GraphError, StabilityProfile, _acyclic, is_stable,
                      graph_from_json, graph_to_json)
 from .canonical import (canonicalize, decode_key, group_closure, key_tuples,
                         automorphism_count, edge_orientation_killed, perm_parity)
@@ -121,14 +124,14 @@ def connected_cores(nv: int, ne: int, max_b1: int, allow_loops: bool):
                 if _b1_bound(nv, child) > max_b1:
                     continue
                 key, vperm, child_gens = canonicalize(weights, child, (), False)
-                child_edges = decode_key(key).edges
+                child_edges = key_tuples(key)[1]
                 a, b = sorted((vperm[e[0]], vperm[e[1]]))
                 if (a, b) in _pair_orbit(child_edges[-1], child_gens):
                     nxt.append((child_edges, child_gens))
         level = nxt
     out = []
     for edges, gens in sorted(level, key=lambda entry: entry[0]):
-        if is_connected(Graph(weights, edges)):
+        if len(edges) - _b1_bound(nv, edges) == nv - 1:     # connected
             out.append((edges, group_closure(gens, nv)))
     _core_cache[cache_key] = out
     return out
@@ -214,93 +217,75 @@ def _orbit_minimal(vec, perms):
     return True
 
 
-# -- marked catalog ---------------------------------------------------------------
+# -- decorations ----------------------------------------------------------------------
 
-def generate_marked(g: int, labels, profile: StabilityProfile | None = None,
-                    max_cells: int | None = None) -> GraphCatalog:
+_PROFILES = {"marked": StabilityProfile.marked(), "oriented": StabilityProfile.oriented()}
+
+
+def generate_marked(g: int, labels, max_cells: int | None = None) -> GraphCatalog:
+    return _generate("marked", g, labels, max_cells)
+
+
+def generate_oriented(g: int, labels, max_cells: int | None = None) -> GraphCatalog:
+    return _generate("oriented", g, labels, max_cells)
+
+
+def _generate(flavor, g, labels, max_cells):
     labels = _check_pair(g, labels)
-    if profile is None:
-        profile = StabilityProfile.marked()
+    profile = _PROFILES[flavor]
     n = len(labels)
+    if flavor == "marked":
+        vmax, decorations = max(1, 2 * g - 2 + n), _marked_decorations
+    else:
+        vmax, decorations = max(1, 2 * g - 2 + 2 * n), _oriented_decorations
     found = {}
-    vmax = max(1, 2 * g - 2 + n)
     for nv in range(1, vmax + 1):
-        ne = nv + g - 1
-        cores = connected_cores(nv, ne, g, allow_loops=True)
-        for core in cores:
-            for key, gens in _marked_decorations(core, labels, profile):
+        for core in connected_cores(nv, nv + g - 1, g, allow_loops=True):
+            for key, gens in decorations(nv, core, labels, profile):
                 if key not in found:
                     found[key] = gens
                     if max_cells is not None and len(found) > max_cells:
                         raise ResourceCapExceeded(
-                            f"marked catalog for (g={g}, n={n}) exceeds {max_cells} cells")
-    return _build_catalog("marked", g, labels, profile, found)
+                            f"{flavor} catalog for (g={g}, n={n}) exceeds {max_cells} cells")
+    return _build_catalog(flavor, g, labels, profile, found)
 
 
-def _marked_decorations(core, labels, profile):
+def _min_hairs(profile, valence, n_in, n_out):
+    """Fewest hairs that make a weight-0 vertex admissible under
+    ``profile``; a hair counts toward valence and toward the outgoing side.
+    Both shipped profiles keep admitting the vertex as hairs are added, so
+    every assignment meeting these minima is stable."""
+    m = 0
+    while not profile.admits(0, valence + m, n_in, n_out + m):
+        m += 1
+    return m
+
+
+def _marked_decorations(nv, core, labels, profile):
     edges, auts = core
-    nv = max((max(u, v) for (u, v) in edges), default=-1) + 1 if edges else 1
-    n = len(labels)
-    deg = [0] * nv
+    # valence as is_stable counts it, a loop three times
+    val = [0] * nv
     for (u, v) in edges:
-        deg[u] += 1
-        deg[v] += 1
-    minima = [max(0, 3 - deg[v]) for v in range(nv)]
-    perms = [a for a in auts if any(a[i] != i for i in range(nv))]
+        val[u] += 1
+        val[v] += 1 + (u == v)
+    minima = [_min_hairs(profile, d, 0, d) for d in val]
+    perms = auts[1:]          # auts is sorted, so the identity comes first
     out = []
     weights = (0,) * nv
-    for assign in _assignments(nv, n, minima):
+    for assign in _assignments(nv, len(labels), minima):
         if perms and not _orbit_minimal(assign, perms):
             continue
         marks = tuple(sorted(zip(labels, assign)))
-        graph = Graph(weights, edges, marks)
-        if not is_stable(graph, profile):
-            continue
         key, _, gens = canonicalize(weights, edges, marks, False)
         out.append((key, gens))
     return out
 
 
-# -- oriented catalog ---------------------------------------------------------------
-
 SUB, FWD, BWD = 0, 1, 2
 
 
-def generate_oriented(g: int, labels, profile: StabilityProfile | None = None,
-                      max_cells: int | None = None) -> GraphCatalog:
-    labels = _check_pair(g, labels)
-    if profile is None:
-        profile = StabilityProfile.oriented()
-    n = len(labels)
-    found = {}
-    vamax = max(1, 2 * g - 2 + 2 * n)
-    for nv in range(1, vamax + 1):
-        ne = nv + g - 1
-        cores = connected_cores(nv, ne, g, allow_loops=True)
-        for core in cores:
-            for key, gens in _oriented_decorations(core, labels, profile):
-                if key not in found:
-                    found[key] = gens
-                    if max_cells is not None and len(found) > max_cells:
-                        raise ResourceCapExceeded(
-                            f"oriented catalog for (g={g}, n={n}) exceeds {max_cells} cells")
-    return _build_catalog("oriented", g, labels, profile, found)
-
-
-def _min_hairs(ind, out):
-    """Smallest hair count keeping a weight-0 vertex admissible; stability is
-    monotone in the hair count."""
-    for m in range(0, 32):
-        val = ind + out + m
-        n_out = out + m
-        if val >= 2 and n_out >= 1 and not (ind == 1 and n_out == 1):
-            return m
-    raise GraphError("unreachable hair bound")
-
-
-def _oriented_decorations(core, labels, profile):
-    edges, auts = core
-    nv = max((max(u, v) for (u, v) in edges), default=-1) + 1 if edges else 1
+def _oriented_decorations(nv, core, labels, profile):
+    edges, _ = core
     n = len(labels)
     ne = len(edges)
     # vertex v is complete once every incident edge has been decided
@@ -308,18 +293,16 @@ def _oriented_decorations(core, labels, profile):
     for i, (u, v) in enumerate(edges):
         last_touch[u] = i
         last_touch[v] = i
-    finishers = [[] for _ in range(ne)] or [[]]
-    for v in range(nv):
-        if ne:
-            finishers[last_touch[v]].append(v)
+    finishers = [[] for _ in range(ne)]
+    for v in range(nv if ne else 0):
+        finishers[last_touch[v]].append(v)
     ind = [0] * nv
     out = [0] * nv
     choice = [SUB] * ne
     results = []
-    weights_core = (0,) * nv
 
     def profile_min(v):
-        m = _min_hairs(ind[v], out[v])
+        m = _min_hairs(profile, ind[v] + out[v], ind[v], out[v])
         if m == 0 and ind[v] == 0 and out[v] == 2:
             # identical to a subdivided edge; that shape is generated there
             m = 1
@@ -329,7 +312,7 @@ def _oriented_decorations(core, labels, profile):
         if deficit > n:
             return
         if i == ne:
-            finish(deficit)
+            finish()
             return
         (u, v) = edges[i]
         opts = (SUB,) if u == v else (SUB, FWD, BWD)
@@ -345,14 +328,9 @@ def _oriented_decorations(core, labels, profile):
                 out[v] += 1
             choice[i] = c
             d = deficit
-            ok = True
             for w in finishers[i]:
-                m = profile_min(w)
-                if m > n:
-                    ok = False
-                d += m
-            if ok:
-                rec(i + 1, d)
+                d += profile_min(w)
+            rec(i + 1, d)
             if c == SUB:
                 ind[u] -= 1
                 ind[v] -= 1
@@ -363,60 +341,30 @@ def _oriented_decorations(core, labels, profile):
                 ind[u] -= 1
                 out[v] -= 1
 
-    def finish(deficit):
-        if not _directed_part_acyclic():
-            return
+    def finish():
         minima = [profile_min(v) for v in range(nv)]
-        if sum(minima) > n:
-            return
         es = []
         nv2 = nv
         for i, (u, v) in enumerate(edges):
             c = choice[i]
             if c == SUB:
-                s = nv2
+                es.append((nv2, u))
+                es.append((nv2, v))
                 nv2 += 1
-                es.append((s, u))
-                es.append((s, v))
             elif c == FWD:
                 es.append((u, v))
             else:
                 es.append((v, u))
+        if not _acyclic(nv2, es):
+            return
         weights = (0,) * nv2
+        es = tuple(es)
         for assign in _assignments(nv, n, minima):
             marks = tuple(sorted(zip(labels, assign)))
-            graph = Graph(weights, es, marks, directed=True)
-            if not is_stable(graph, profile):
-                continue
-            key, _, gens = canonicalize(weights, tuple(es), marks, True)
+            key, _, gens = canonicalize(weights, es, marks, True)
             results.append((key, gens))
 
-    def _directed_part_acyclic():
-        indeg = [0] * nv
-        adj = [[] for _ in range(nv)]
-        for i, (u, v) in enumerate(edges):
-            c = choice[i]
-            if c == FWD:
-                adj[u].append(v)
-                indeg[v] += 1
-            elif c == BWD:
-                adj[v].append(u)
-                indeg[u] += 1
-        queue = [v for v in range(nv) if indeg[v] == 0]
-        seen = 0
-        while queue:
-            u = queue.pop()
-            seen += 1
-            for w in adj[u]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        return seen == nv
-
-    if ne == 0:
-        finish(0)
-    else:
-        rec(0, 0)
+    rec(0, 0)
     return results
 
 
@@ -449,40 +397,21 @@ def _entry(flavor, key, graph, gens):
 
 def spanning_forests(g: Graph):
     """Edge subsets that are acyclic, cover every vertex, and isolate exactly
-    one marking label in each connected component.  Loops never qualify."""
+    one marking label in each connected component.  Loops never qualify.
+
+    Joining each marking to one extra vertex turns such a forest into a
+    spanning tree on ``nv + 1`` vertices, so the forests are the sets of
+    ``nv - n`` non-loop edges that close no cycle with those joins."""
     if not g.marks:
         raise GraphError("spanning forests need a marked graph")
     nv = g.n_vertices
+    size = nv - len(g.marks)
+    if size < 0:
+        return []
+    joins = [(v, nv) for (_, v) in g.marks]
     nonloop = [i for i in range(g.n_edges) if not g.is_loop(i)]
-    res = []
-    for r in range(0, nv):
-        for sub in itertools.combinations(nonloop, r):
-            parent = list(range(nv))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            ok = True
-            for i in sub:
-                (u, v) = g.edges[i]
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    ok = False
-                    break
-                parent[ru] = rv
-            if not ok:
-                continue
-            counts = {}
-            for (_, v) in g.marks:
-                root = find(v)
-                counts[root] = counts.get(root, 0) + 1
-            roots = {find(v) for v in range(nv)}
-            if all(counts.get(r, 0) == 1 for r in roots):
-                res.append(tuple(sub))
-    return res
+    return [sub for sub in itertools.combinations(nonloop, size)
+            if _b1_bound(nv + 1, joins + [g.edges[i] for i in sub]) == 0]
 
 
 # -- persistence and cache ----------------------------------------------------------------
@@ -491,8 +420,7 @@ def save_catalog(cat: GraphCatalog, path: str) -> None:
     os.makedirs(path, exist_ok=True)
     index = {"flavor": cat.flavor, "genus": cat.genus,
              "labels": list(cat.labels), "version": cat.version,
-             "profile": {"flavor": cat.profile.flavor,
-                         "strict": cat.profile.require_marking_everywhere},
+             "profile": {"flavor": cat.profile.flavor, "strict": False},
              "strata": {}}
     for deg in cat.degrees():
         files = []
@@ -512,8 +440,8 @@ def load_catalog(path: str) -> GraphCatalog:
         with open(os.path.join(path, "index.json")) as fh:
             index = json.load(fh)
         flavor = index["flavor"]
-        profile = (StabilityProfile.marked() if flavor == "marked"
-                   else StabilityProfile.oriented(strict=index["profile"].get("strict", False)))
+        profile = _PROFILES[flavor]
+        strict = index["profile"].get("strict", False)
         cat = GraphCatalog(flavor=flavor, genus=index["genus"],
                            labels=tuple(index["labels"]), profile=profile,
                            version=index.get("version", 0))
@@ -522,6 +450,9 @@ def load_catalog(path: str) -> GraphCatalog:
             for deg_s, files in index["strata"].items())
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise GraphError(f"cannot read catalog index at {path}: {exc!r}") from exc
+    if strict:
+        raise GraphError(f"catalog at {path} uses the strict stability profile, "
+                         "which is no longer supported")
     for deg, files in strata:
         entries = []
         for name, killed, aut_order in files:
@@ -556,7 +487,7 @@ def load_catalog(path: str) -> GraphCatalog:
     return cat
 
 
-def cache_path(flavor: str, g: int, labels, profile: StabilityProfile) -> str | None:
+def cache_path(flavor: str, g: int, labels) -> str | None:
     """Cache directory for a catalog under ``OGCLAB_CACHE``, or None.  The
     name holds the marking labels; the usual labels 1..n are written ``n<n>``."""
     root = os.environ.get("OGCLAB_CACHE")
@@ -567,22 +498,16 @@ def cache_path(flavor: str, g: int, labels, profile: StabilityProfile) -> str | 
         marking = f"n{len(labels)}"
     else:
         marking = "l" + "-".join(str(l) for l in labels)
-    strict = "strict" if profile.require_marking_everywhere else "std"
-    name = f"{flavor}_g{g}_{marking}_{strict}_v{GENERATOR_VERSION}"
-    return os.path.join(root, name)
+    return os.path.join(root, f"{flavor}_g{g}_{marking}_std_v{GENERATOR_VERSION}")
 
 
 def generate_or_load(flavor: str, g: int, labels,
-                     profile: StabilityProfile | None = None,
                      max_cells: int | None = None) -> GraphCatalog:
     """Generate a catalog, reusing the OGCLAB_CACHE directory when set.  A
     cached catalog that cannot be read, or that is for other parameters, is
     generated afresh and replaced.  ``max_cells`` caps a loaded catalog as it
     caps a generated one."""
-    if profile is None:
-        profile = (StabilityProfile.marked() if flavor == "marked"
-                   else StabilityProfile.oriented())
-    path = cache_path(flavor, g, labels, profile)
+    path = cache_path(flavor, g, labels)
     if path and os.path.isdir(path):
         try:
             cat = load_catalog(path)
@@ -596,7 +521,7 @@ def generate_or_load(flavor: str, g: int, labels,
                         f"exceeds {max_cells} cells")
                 return cat
     gen = generate_marked if flavor == "marked" else generate_oriented
-    cat = gen(g, labels, profile, max_cells=max_cells)
+    cat = gen(g, labels, max_cells=max_cells)
     if path:
         _store(cat, path)
     return cat

@@ -1,8 +1,9 @@
 """Batch command line: enumerate catalogs, compute Betti tables, run the
 spanning-forest verification.
 
-Exit codes: 0 success, 1 a mathematical check failed, 2 usage error,
-3 resource cap exceeded.
+Exit codes: 0 success, 1 a mathematical check failed, 2 usage error
+(including an ``--out`` or ``OGCLAB_CACHE`` that cannot be written), 3
+resource cap exceeded.
 """
 from __future__ import annotations
 
@@ -97,9 +98,12 @@ def cmd_betti(args) -> int:
     if args.export_matrices and not args.out:
         raise GraphError("--export-matrices needs --out")
     flavors = ["marked", "oriented"] if args.flavor == "both" else [args.flavor]
+    pairs = _pairs(args)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     rows = []
     tables = []
-    for (g, n) in _pairs(args):
+    for (g, n) in pairs:
         for flavor in flavors:
             cx = _build(flavor, g, n, args)
             table = betti(cx, seed=args.seed)
@@ -114,7 +118,6 @@ def cmd_betti(args) -> int:
     else:
         text = json.dumps(rows, indent=1) + "\n"
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         name = "betti.csv" if args.format == "csv" else "betti.json"
         with open(os.path.join(args.out, name), "w") as fh:
             fh.write(text)
@@ -130,15 +133,17 @@ def cmd_betti(args) -> int:
 
 
 def cmd_verify_zivkovic(args) -> int:
+    pairs = _pairs(args)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     all_ok = True
     reports = []
-    for (g, n) in _pairs(args):
+    for (g, n) in pairs:
         report = run_verification(g, _labels(n), seed=args.seed,
                                   max_cells=args.max_cells)
         reports.append(report)
         all_ok = all_ok and report.passed
         if args.out:
-            os.makedirs(args.out, exist_ok=True)
             with open(os.path.join(args.out, f"verify_g{g}_n{n}.json"), "w") as fh:
                 fh.write(report.to_json() + "\n")
     for report in reports:
@@ -197,7 +202,8 @@ def main(argv=None) -> int:
     except ResourceCapExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except GraphError as exc:
+    except (GraphError, OSError) as exc:
+        # an OSError names the --out or OGCLAB_CACHE path it could not use
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ComplexError, RankError) as exc:

@@ -25,9 +25,6 @@ missing from the catalog altogether raises ``ComplexError``.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 
 from .graphs import Graph, StabilityProfile
@@ -194,8 +191,7 @@ def _admissible_contractions(g, profile: StabilityProfile):
         if a == b or bundles[(a, b) if a < b else (b, a)] > 1:
             continue
         if not profile.admits(weights[a] + weights[b], val[a] + val[b] - 2,
-                              n_in[a] + n_in[b] - d_in, n_out[a] + n_out[b] - d_out,
-                              hair[a] + hair[b]):
+                              n_in[a] + n_in[b] - d_in, n_out[a] + n_out[b] - d_out):
             continue
         if directed and _reaches(succ, a, b):
             continue
@@ -320,18 +316,6 @@ class BettiTable:
                    "cell_degree": k,
                    "hc_degree": hc_degree(k, self.genus, n, self.d_parity),
                    "dim_basis": self.dims[k], "betti": self.betti[k]}
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=[
-            "flavor", "g", "n", "cell_degree", "hc_degree", "dim_basis", "betti"])
-        writer.writeheader()
-        for row in self.rows():
-            writer.writerow(row)
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(list(self.rows()), indent=1)
 
     def euler_from_dims(self):
         return sum((-1) ** k * d for k, d in self.dims.items())

@@ -149,18 +149,21 @@ def genus(g: Graph) -> int:
 
 
 def is_acyclic(g: Graph) -> bool:
-    """No directed cycles; loops count as cycles.  Kahn peeling."""
+    """No directed cycles; loops count as cycles."""
     if not g.directed:
         raise GraphError("is_acyclic needs a directed graph")
-    n = g.n_vertices
-    indeg = [0] * n
-    adj = [[] for _ in range(n)]
-    for (u, v) in g.edges:
-        if u == v:
-            return False
+    return _acyclic(g.n_vertices, g.edges)
+
+
+def _acyclic(nv, edges) -> bool:
+    """Whether the directed ``edges`` on ``nv`` vertices have no directed
+    cycle, by Kahn peeling; a loop never peels, so it counts as a cycle."""
+    indeg = [0] * nv
+    adj = [[] for _ in range(nv)]
+    for (u, v) in edges:
         adj[u].append(v)
         indeg[v] += 1
-    queue = [v for v in range(n) if indeg[v] == 0]
+    queue = [v for v in range(nv) if indeg[v] == 0]
     seen = 0
     while queue:
         u = queue.pop()
@@ -169,37 +172,37 @@ def is_acyclic(g: Graph) -> bool:
             indeg[w] -= 1
             if indeg[w] == 0:
                 queue.append(w)
-    return seen == n
+    return seen == nv
 
 
 @dataclass(frozen=True)
 class StabilityProfile:
-    """Per-vertex admissibility rules for the two graph flavours.
+    """Per-vertex admissibility rule for the two graph flavours; ``admits``
+    is the one place it is decided.  ``is_stable`` applies it to every
+    vertex, the differentials to the merged vertex of a contraction, and the
+    catalog generators read off it the fewest hairs each core vertex needs.
 
     ``min_valence`` maps a vertex weight to the minimum valence (hairs
     included); weights not listed are unconstrained.  ``forbid_passing``
     rejects weight-0 vertices with exactly one incoming and one outgoing
     half-edge (hairs outgoing).  ``require_outgoing`` demands at least one
-    outgoing half-edge or marking everywhere.  ``require_marking_everywhere``
-    is the strict reading kept selectable for comparison runs.
+    outgoing half-edge or marking at weight-0 vertices.
     """
     flavor: str
     min_valence: dict = field(default_factory=dict)
     forbid_passing: bool = False
     require_outgoing: bool = False
-    require_marking_everywhere: bool = False
 
     @staticmethod
     def marked() -> "StabilityProfile":
         return StabilityProfile(flavor="marked", min_valence={0: 3})
 
     @staticmethod
-    def oriented(strict: bool = False) -> "StabilityProfile":
+    def oriented() -> "StabilityProfile":
         return StabilityProfile(flavor="oriented", min_valence={0: 2},
-                                forbid_passing=True, require_outgoing=True,
-                                require_marking_everywhere=strict)
+                                forbid_passing=True, require_outgoing=True)
 
-    def admits(self, weight, valence, n_in, n_out, hairs) -> bool:
+    def admits(self, weight, valence, n_in, n_out) -> bool:
         """Whether one vertex passes.  ``valence`` and ``n_out`` count its
         hairs; ``n_in`` is 0 in an undirected graph, where every half-edge
         counts as outgoing."""
@@ -211,7 +214,7 @@ class StabilityProfile:
                 return False
             if self.forbid_passing and n_in == 1 and n_out == 1:
                 return False
-        return hairs > 0 or not self.require_marking_everywhere
+        return True
 
 
 def is_stable(g: Graph, profile: StabilityProfile) -> bool:
@@ -226,7 +229,7 @@ def is_stable(g: Graph, profile: StabilityProfile) -> bool:
             n_in, n_out = ind[v], out[v] + hair[v]
         else:
             n_in, n_out = 0, val
-        if not profile.admits(g.weights[v], val, n_in, n_out, hair[v]):
+        if not profile.admits(g.weights[v], val, n_in, n_out):
             return False
     return True
 

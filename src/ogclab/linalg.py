@@ -412,13 +412,18 @@ def read_matrix_market(path: str) -> SparseIntMatrix:
         line = fh.readline()
         while line.startswith("%"):
             line = fh.readline()
-        nrows, ncols, nnz = map(int, line.split())
+        try:
+            nrows, ncols, nnz = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"{path}: size line {line.strip()!r} is not three "
+                             "integers") from None
         m = SparseIntMatrix(nrows, ncols)
         for k in range(nnz):
-            parts = fh.readline().split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}: entry {k + 1} of {nnz} is missing or malformed")
-            i, j, v = map(int, parts)
+            try:
+                i, j, v = map(int, fh.readline().split())
+            except ValueError:
+                raise ValueError(f"{path}: entry {k + 1} of {nnz} is missing "
+                                 "or malformed") from None
             if not (1 <= i <= nrows and 1 <= j <= ncols):
                 raise ValueError(f"{path}: entry ({i}, {j}) outside {nrows}x{ncols}")
             m[i - 1, j - 1] = v

@@ -246,6 +246,8 @@ def test_core_counts_pinned():
     (1, 1, 1, True), (3, 3, 1, True), (5, 5, 1, True), (6, 6, 1, True),
     (4, 6, 3, True), (5, 6, 2, True), (5, 5, 1, False), (5, 6, 2, False),
     (2, 4, 3, True), (4, 3, 0, False),
+    # slack in the Betti bound: disconnected graphs reach the last level
+    (4, 4, 2, True), (5, 5, 2, False),
 ])
 def test_cores_match_reference(args):
     assert connected_cores(*args) == reference_canon.connected_cores(*args)

@@ -1,4 +1,5 @@
 """Catalog generation, spanning forests, contraction targets, persistence."""
+import itertools
 import json
 import os
 import sys
@@ -12,10 +13,13 @@ import oracle
 from ogclab.graphs import (Graph, GraphError, StabilityProfile, contract_edge,
                            genus, is_acyclic, is_stable)
 from ogclab.canonical import canonical_form
-from ogclab.catalogs import (ResourceCapExceeded, generate_marked,
+from ogclab.catalogs import (ResourceCapExceeded, _min_hairs, generate_marked,
                              generate_or_load, generate_oriented, load_catalog,
                              save_catalog, spanning_forests)
 from ogclab.complexes import _admissible_contractions, build_oriented_complex
+
+
+CRIT2_PAIRS = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1)]
 
 
 def labels(n):
@@ -63,7 +67,9 @@ def test_unstable_pair_is_domain_error():
 
 
 def test_catalog_entries_are_valid():
-    for (g, n) in [(1, 2), (0, 4), (2, 1)]:
+    # the generators filter nothing: every cell must come out stable and,
+    # when oriented, acyclic
+    for (g, n) in [(1, 2), (0, 4), (2, 1), (0, 5), (1, 3), (2, 2), (3, 1)]:
         for cat in (generate_marked(g, labels(n)), generate_oriented(g, labels(n))):
             seen = set()
             for entry in cat.entries():
@@ -134,45 +140,82 @@ def test_forests_need_marks():
         spanning_forests(Graph([0], [(0, 0)]))
 
 
+def exhaustive_forests(graph):
+    """Every non-loop edge subset, smallest first, kept when it is acyclic
+    and each of its components holds exactly one marking."""
+    nv = graph.n_vertices
+    found = []
+    for r in range(nv):
+        for sub in itertools.combinations(range(graph.n_edges), r):
+            if any(graph.is_loop(i) for i in sub):
+                continue
+            parent = list(range(nv))
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            ok = True
+            for i in sub:
+                (u, v) = graph.edges[i]
+                ru, rv = find(u), find(v)
+                if ru == rv:
+                    ok = False
+                    break
+                parent[ru] = rv
+            if not ok:
+                continue
+            per_root = {}
+            for (_, v) in graph.marks:
+                per_root[find(v)] = per_root.get(find(v), 0) + 1
+            if all(per_root.get(find(v), 0) == 1 for v in range(nv)):
+                found.append(sub)
+    return found
+
+
 def test_forest_counts_match_exhaustive_enumeration():
-    import itertools
-    for (g, n) in [(1, 2), (1, 3), (2, 1)]:
-        cat = generate_marked(g, labels(n))
-        for entry in cat.entries():
-            graph = entry.graph
-            nv = graph.n_vertices
-            expected = 0
-            ids = range(graph.n_edges)
-            for r in range(nv):
-                for sub in itertools.combinations(ids, r):
-                    if any(graph.is_loop(i) for i in sub):
-                        continue
-                    parent = list(range(nv))
+    for (g, n) in CRIT2_PAIRS + [(0, 3), (0, 4), (0, 5)]:
+        for entry in generate_marked(g, labels(n)).entries():
+            assert spanning_forests(entry.graph) == exhaustive_forests(entry.graph)
 
-                    def find(x):
-                        while parent[x] != x:
-                            x = parent[x]
-                        return x
 
-                    ok = True
-                    for i in sub:
-                        (u, v) = graph.edges[i]
-                        ru, rv = find(u), find(v)
-                        if ru == rv:
-                            ok = False
-                            break
-                        parent[ru] = rv
-                    if not ok:
-                        continue
-                    comps = {}
-                    for (_, v) in graph.marks:
-                        comps.setdefault(find(v), []).append(1)
-                    if all(find(v) in comps for v in range(nv)) and \
-                            all(len(c) == 1 for c in comps.values()):
-                        roots = {find(v) for v in range(nv)}
-                        if all(r in comps for r in roots):
-                            expected += 1
-            assert len(spanning_forests(graph)) == expected
+# -- hair minima ---------------------------------------------------------------------
+# The hand-written minima the generators used before they read them off
+# StabilityProfile.admits, kept as the reference.
+
+def reference_oriented_min(ind, out):
+    for m in range(0, 32):
+        val = ind + out + m
+        n_out = out + m
+        if val >= 2 and n_out >= 1 and not (ind == 1 and n_out == 1):
+            return m
+    raise GraphError("unreachable hair bound")
+
+
+def reference_marked_min(deg):
+    return max(0, 3 - deg)
+
+
+def test_min_hairs_match_the_hand_written_minima():
+    marked, oriented = StabilityProfile.marked(), StabilityProfile.oriented()
+    for ind in range(9):
+        for out in range(9):
+            assert _min_hairs(oriented, ind + out, ind, out) == reference_oriented_min(ind, out)
+    for deg in range(9):
+        assert _min_hairs(marked, deg, 0, deg) == reference_marked_min(deg)
+
+
+def test_more_hairs_than_the_minimum_stay_admissible():
+    # why the generators need no stability filter after assigning hairs
+    for profile, counts in [
+            (StabilityProfile.marked(), [(0, d) for d in range(9)]),
+            (StabilityProfile.oriented(), [(i, o) for i in range(9) for o in range(9)])]:
+        for (ind, out) in counts:
+            valence = ind + out
+            low = _min_hairs(profile, valence, ind, out)
+            for m in range(low, low + 5):
+                assert profile.admits(0, valence + m, ind, out + m), (profile.flavor, ind, out, m)
 
 
 # -- contraction targets -----------------------------------------------------------
@@ -279,6 +322,18 @@ def test_undirected_graph_in_oriented_catalog_raises(tmp_path):
         edge["dir"] = None
     victim.write_text(json.dumps(doc))
     with pytest.raises(GraphError, match="edge direction"):
+        load_catalog(str(tmp_path / "c"))
+
+
+def test_strict_index_is_refused(tmp_path):
+    # the strict profile is gone; its catalogs are not read under the standard one
+    save_catalog(generate_oriented(1, labels(2)), str(tmp_path / "c"))
+    index_path = tmp_path / "c" / "index.json"
+    index = json.loads(index_path.read_text())
+    assert index["profile"] == {"flavor": "oriented", "strict": False}
+    index["profile"]["strict"] = True
+    index_path.write_text(json.dumps(index))
+    with pytest.raises(GraphError, match="strict"):
         load_catalog(str(tmp_path / "c"))
 
 

@@ -172,3 +172,32 @@ def test_negative_cell_cap_is_usage_error(tmp_path, capsys):
     assert not out.exists()
     assert run(["enumerate", "-g", "1", "-n", "1", "--max-cells", "0",
                 "--out", str(out)]) == 3
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["enumerate", "betti", "verify-zivkovic"])
+def test_unusable_out_is_usage_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                     command, under):
+    import ogclab.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before --out was created")
+
+    monkeypatch.setattr(cli, "generate_or_load", no_work)
+    monkeypatch.setattr(cli, "run_verification", no_work)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    assert run([command, "-g", "1", "-n", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error") and str(out) in err[0]
+
+
+def test_cache_root_that_is_a_file_is_usage_error(tmp_path, capsys, monkeypatch):
+    root = tmp_path / "cache"
+    root.write_text("")
+    monkeypatch.setenv("OGCLAB_CACHE", str(root))
+    assert run(["enumerate", "--flavor", "marked", "-g", "1", "-n", "1",
+                "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error") and str(root) in err[0]

@@ -201,21 +201,6 @@ def test_missing_contraction_target_raises(flavor, build):
         build(cat)
 
 
-def test_betti_csv_and_json_encode_same_numbers():
-    import csv as csvmod
-    import io
-    import json
-    mx, _ = pair(1, 2)
-    t = betti(mx)
-    rows_csv = list(csvmod.DictReader(io.StringIO(t.to_csv())))
-    rows_json = json.loads(t.to_json())
-    assert len(rows_csv) == len(rows_json)
-    for rc, rj in zip(rows_csv, rows_json):
-        assert int(rc["betti"]) == rj["betti"]
-        assert int(rc["dim_basis"]) == rj["dim_basis"]
-        assert int(rc["cell_degree"]) == rj["cell_degree"]
-
-
 @pytest.mark.parametrize("flavor", ["marked", "oriented"])
 def test_tuple_contractions_match_graph_reference(flavor):
     # every edge of every cell, killed ones included, against the Graph-based

@@ -248,11 +248,16 @@ def test_matrix_market_round_trip(tmp_path):
     assert header == "%%MatrixMarket matrix coordinate integer general"
 
 
-def test_matrix_market_short_file_names_path(tmp_path):
+@pytest.mark.parametrize("body, message", [
+    pytest.param("2 2 3\n1 1 5\n2 2 1\n", "entry 3 of 3", id="truncated"),
+    pytest.param("", "size line ''", id="header-only"),
+    pytest.param("2 x 1\n1 1 5\n", "size line '2 x 1'", id="size-not-int"),
+    pytest.param("2 2 2\n1 1 5\n2 2 y\n", "entry 2 of 2", id="entry-not-int"),
+])
+def test_matrix_market_short_file_names_path(tmp_path, body, message):
     path = tmp_path / "short.mtx"
-    path.write_text("%%MatrixMarket matrix coordinate integer general\n"
-                    "2 2 3\n1 1 5\n2 2 1\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: entry 3 of 3")):
+    path.write_text("%%MatrixMarket matrix coordinate integer general\n" + body)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         read_matrix_market(str(path))
 
 
