@@ -118,9 +118,9 @@ def canonicalize(weights, edges, marks, directed):
     if nv == 0:
         raise GraphError("empty vertex set")
     # relabelling permutes these values, so one check covers every leaf
-    if nv > 255 or len(edges) > 127 or max(weights) > 255 \
-            or any(l > 255 for (l, _) in marks):
-        raise GraphError("graph too large for the byte encoding")
+    if nv > 255 or len(edges) > 127 or min(weights) < 0 or max(weights) > 255 \
+            or any(not 0 <= l <= 255 for (l, _) in marks):
+        raise GraphError("graph does not fit the byte encoding")
     inc = [[] for _ in range(nv)]
     for (u, v) in edges:
         if directed:

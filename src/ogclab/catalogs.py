@@ -27,11 +27,11 @@ import contextlib
 import itertools
 import json
 import os
-import shutil
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .graphs import (Graph, GraphError, StabilityProfile, _acyclic, is_stable,
-                     graph_from_json, graph_to_json)
+from .graphs import (Graph, GraphError, StabilityProfile, _acyclic, graph_to_json,
+                     is_connected, is_stable)
 from .canonical import (canonicalize, decode_key, group_closure, key_tuples,
                         automorphism_count, edge_orientation_killed, perm_parity)
 
@@ -60,7 +60,6 @@ class GraphCatalog:
     labels: tuple
     profile: StabilityProfile
     strata: dict = field(default_factory=dict)   # degree -> [CatalogEntry]
-    version: int = GENERATOR_VERSION
 
     def degrees(self):
         return sorted(self.strata)
@@ -263,12 +262,8 @@ def _min_hairs(profile, valence, n_in, n_out):
 
 def _marked_decorations(nv, core, labels, profile):
     edges, auts = core
-    # valence as is_stable counts it, a loop three times
-    val = [0] * nv
-    for (u, v) in edges:
-        val[u] += 1
-        val[v] += 1 + (u == v)
-    minima = [_min_hairs(profile, d, 0, d) for d in val]
+    val = Counter(itertools.chain.from_iterable(edges))    # edge ends, a loop's two
+    minima = [_min_hairs(profile, val[v], 0, val[v]) for v in range(nv)]
     perms = auts[1:]          # auts is sorted, so the identity comes first
     out = []
     weights = (0,) * nv
@@ -419,7 +414,7 @@ def spanning_forests(g: Graph):
 def save_catalog(cat: GraphCatalog, path: str) -> None:
     os.makedirs(path, exist_ok=True)
     index = {"flavor": cat.flavor, "genus": cat.genus,
-             "labels": list(cat.labels), "version": cat.version,
+             "labels": list(cat.labels), "version": GENERATOR_VERSION,
              "profile": {"flavor": cat.profile.flavor, "strict": False},
              "strata": {}}
     for deg in cat.degrees():
@@ -436,60 +431,36 @@ def save_catalog(cat: GraphCatalog, path: str) -> None:
 
 
 def load_catalog(path: str) -> GraphCatalog:
+    """Read the cache file ``_store`` writes.  Every key must be a cell
+    generation could have made: canonical, of the file's flavour and labels,
+    connected, weight 0 and of its genus, stable, acyclic when directed.
+    Degrees, kill flags and |Aut| are recomputed by ``_build_catalog``, as
+    for a generated catalog.  Malformed input raises ``GraphError``."""
     try:
-        with open(os.path.join(path, "index.json")) as fh:
-            index = json.load(fh)
-        flavor = index["flavor"]
-        profile = _PROFILES[flavor]
-        strict = index["profile"].get("strict", False)
-        cat = GraphCatalog(flavor=flavor, genus=index["genus"],
-                           labels=tuple(index["labels"]), profile=profile,
-                           version=index.get("version", 0))
-        strata = sorted(
-            (int(deg_s), [(rec["file"], rec["killed"], rec["aut_order"]) for rec in files])
-            for deg_s, files in index["strata"].items())
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise GraphError(f"cannot read catalog index at {path}: {exc!r}") from exc
-    if strict:
-        raise GraphError(f"catalog at {path} uses the strict stability profile, "
-                         "which is no longer supported")
-    for deg, files in strata:
-        entries = []
-        for name, killed, aut_order in files:
-            fp = os.path.join(path, name)
-            try:
-                with open(fp) as fh:
-                    graph = graph_from_json(fh.read())
-            except OSError as exc:
-                raise GraphError(f"catalog file missing: {fp}") from exc
-            if graph.directed != (flavor == "oriented"):
-                # the JSON form keeps direction on edges only
-                if graph.n_edges:
-                    raise GraphError(f"edge direction of {fp} disagrees with "
-                                     f"the {flavor} catalog")
-                graph = Graph(graph.weights, (), graph.marks, directed=True)
-            key, _, gens = canonicalize(graph.weights, graph.edges, graph.marks,
-                                        graph.directed)
-            # graph_from_json checked connectivity, so this is the genus
-            cell_genus = graph.n_edges - graph.n_vertices + 1 + sum(graph.weights)
-            if cell_genus != cat.genus or not is_stable(graph, profile):
-                raise GraphError(f"catalog file violates invariants: {fp}")
-            # save_catalog writes the canonical graph, which need not be rebuilt
-            canon = graph if graph.key() == key_tuples(key) else decode_key(key)
-            entry = _entry(flavor, key, canon, gens)
-            if (entry.killed, entry.aut_order) != (killed, aut_order):
-                raise GraphError(f"index disagrees with the automorphisms of {fp}")
-            entries.append(entry)
-        keys = [e.key for e in entries]
-        if keys != sorted(keys):
-            entries.sort(key=lambda e: e.key)
-        cat.strata[deg] = entries
-    return cat
+        with open(path) as fh:
+            doc = json.load(fh)
+        flavor, g, labels = doc["flavor"], doc["genus"], tuple(doc["labels"])
+        profile, directed = _PROFILES[flavor], flavor == "oriented"
+        found = {}
+        for key in map(bytes.fromhex, doc["keys"]):
+            graph = decode_key(key)
+            canon, _, gens = canonicalize(*graph.key())
+            if (canon != key or key[0] != directed or graph.labels != labels
+                    or any(graph.weights) or not is_connected(graph)
+                    or graph.n_edges - graph.n_vertices + 1 != g
+                    or not is_stable(graph, profile)
+                    or directed and not _acyclic(graph.n_vertices, graph.edges)):
+                raise GraphError(f"key {key.hex()} is no canonical {flavor} "
+                                 f"cell of genus {g} with labels {labels}")
+            found[key] = gens
+    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
+        raise GraphError(f"cannot read catalog at {path}: {exc!r}") from exc
+    return _build_catalog(flavor, g, labels, profile, found)
 
 
 def cache_path(flavor: str, g: int, labels) -> str | None:
-    """Cache directory for a catalog under ``OGCLAB_CACHE``, or None.  The
-    name holds the marking labels; the usual labels 1..n are written ``n<n>``."""
+    """Cache file of a catalog under ``OGCLAB_CACHE``, or None.  The name
+    holds the marking labels; the usual labels 1..n are written ``n<n>``."""
     root = os.environ.get("OGCLAB_CACHE")
     if not root:
         return None
@@ -498,17 +469,17 @@ def cache_path(flavor: str, g: int, labels) -> str | None:
         marking = f"n{len(labels)}"
     else:
         marking = "l" + "-".join(str(l) for l in labels)
-    return os.path.join(root, f"{flavor}_g{g}_{marking}_std_v{GENERATOR_VERSION}")
+    return os.path.join(root, f"{flavor}_g{g}_{marking}_std_v{GENERATOR_VERSION}.json")
 
 
 def generate_or_load(flavor: str, g: int, labels,
                      max_cells: int | None = None) -> GraphCatalog:
-    """Generate a catalog, reusing the OGCLAB_CACHE directory when set.  A
-    cached catalog that cannot be read, or that is for other parameters, is
+    """Generate a catalog, reusing its OGCLAB_CACHE file when set.  A cached
+    catalog that cannot be read, or that is for other parameters, is
     generated afresh and replaced.  ``max_cells`` caps a loaded catalog as it
     caps a generated one."""
     path = cache_path(flavor, g, labels)
-    if path and os.path.isdir(path):
+    if path and os.path.exists(path):
         try:
             cat = load_catalog(path)
         except GraphError:
@@ -528,15 +499,18 @@ def generate_or_load(flavor: str, g: int, labels,
 
 
 def _store(cat: GraphCatalog, path: str) -> None:
-    """Write ``cat`` to a temporary directory beside ``path`` and rename it
-    into place, so ``path`` never holds a partial catalog."""
+    """Write the cache file of ``cat``: its flavour, genus, labels and sorted
+    hex keys, nothing that ``load_catalog`` recomputes.  The file is written
+    beside ``path`` and renamed onto it, so ``path`` never holds a partial
+    catalog."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    doc = {"flavor": cat.flavor, "genus": cat.genus, "labels": list(cat.labels),
+           "keys": [key.hex() for key in sorted(e.key for e in cat.entries())]}
     tmp = f"{path}.tmp-{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
     try:
-        save_catalog(cat, tmp)
-        shutil.rmtree(path, ignore_errors=True)
-        # fails only when a concurrent run has put its own copy there first
-        with contextlib.suppress(OSError):
-            os.replace(tmp, path)
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh)
+        os.replace(tmp, path)
     finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)

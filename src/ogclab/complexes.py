@@ -167,13 +167,13 @@ def _admissible_contractions(g, profile: StabilityProfile):
     weights, edges, marks, directed = g
     nv = len(weights)
     # per vertex as is_stable counts them: valence with a loop counted
-    # three times, half-edges in, half-edges out (hairs included)
+    # twice, half-edges in, half-edges out (hairs included)
     val, n_in, n_out, hair = [0] * nv, [0] * nv, [0] * nv, [0] * nv
     succ = [[] for _ in range(nv)]
     bundles = {}
     for (u, v) in edges:
         val[u] += 1
-        val[v] += 1 + (u == v)
+        val[v] += 1
         pair = (u, v) if u <= v else (v, u)
         bundles[pair] = bundles.get(pair, 0) + 1
         if directed:

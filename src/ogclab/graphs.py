@@ -219,12 +219,8 @@ class StabilityProfile:
 
 def is_stable(g: Graph, profile: StabilityProfile) -> bool:
     deg, ind, out, hair = g.degree_data()
-    loops = [0] * g.n_vertices
-    for (u, v) in g.edges:
-        if u == v:
-            loops[u] += 1
     for v in range(g.n_vertices):
-        val = deg[v] + loops[v] + hair[v]
+        val = deg[v] + hair[v]
         if g.directed:
             n_in, n_out = ind[v], out[v] + hair[v]
         else:

@@ -426,5 +426,7 @@ def read_matrix_market(path: str) -> SparseIntMatrix:
                                  "or malformed") from None
             if not (1 <= i <= nrows and 1 <= j <= ncols):
                 raise ValueError(f"{path}: entry ({i}, {j}) outside {nrows}x{ncols}")
+            if v == 0 or m[i - 1, j - 1]:
+                raise ValueError(f"{path}: entry ({i}, {j}) is zero or repeated")
             m[i - 1, j - 1] = v
     return m

@@ -260,4 +260,8 @@ def test_byte_range_checked_before_the_search():
         canonicalize((0, 0), ((0, 1),), ((256, 0),), False)
     with pytest.raises(GraphError, match="byte encoding"):
         canonicalize((0,), ((0, 0),) * 128, ((1, 0),), False)
+    with pytest.raises(GraphError, match="byte encoding"):
+        canonical_form(Graph([-1], [], [(1, 0)]))
+    with pytest.raises(GraphError, match="byte encoding"):
+        canonicalize((0, 0), ((0, 1),), ((-1, 0), (2, 1)), False)
     assert canonicalize((255,), ((0, 0),) * 127, ((255, 0),), False)[0]

@@ -1,7 +1,6 @@
 """Catalog generation, spanning forests, contraction targets, persistence."""
 import itertools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -12,10 +11,10 @@ import oracle
 
 from ogclab.graphs import (Graph, GraphError, StabilityProfile, contract_edge,
                            genus, is_acyclic, is_stable)
-from ogclab.canonical import canonical_form
-from ogclab.catalogs import (ResourceCapExceeded, _min_hairs, generate_marked,
-                             generate_or_load, generate_oriented, load_catalog,
-                             save_catalog, spanning_forests)
+from ogclab.canonical import canonical_form, encode_key, key_tuples
+from ogclab.catalogs import (ResourceCapExceeded, _min_hairs, _store, cache_path,
+                             generate_marked, generate_or_load, generate_oriented,
+                             load_catalog, spanning_forests)
 from ogclab.complexes import _admissible_contractions, build_oriented_complex
 
 
@@ -293,65 +292,123 @@ def test_contraction_closure_in_oriented_catalog():
 
 # -- persistence and cache ------------------------------------------------------------
 
+def cells(cat):
+    return {deg: [(e.key, e.killed, e.aut_order) for e in cat.strata[deg]]
+            for deg in cat.degrees()}
+
+
 def test_catalog_round_trip(tmp_path):
     cat = generate_oriented(1, labels(2))
-    save_catalog(cat, str(tmp_path / "c"))
-    back = load_catalog(str(tmp_path / "c"))
-    assert [e.key for e in back.entries()] == [e.key for e in cat.entries()]
-    assert [e.killed for e in back.entries()] == [e.killed for e in cat.entries()]
+    path = str(tmp_path / "c.json")
+    _store(cat, path)
+    doc = json.loads(Path(path).read_text())
+    assert sorted(doc) == ["flavor", "genus", "keys", "labels"]
+    assert doc["keys"] == sorted(e.key.hex() for e in cat.entries())
+    back = load_catalog(path)
+    assert (back.flavor, back.genus, back.labels) == ("oriented", 1, labels(2))
+    assert cells(back) == cells(cat)
+
+
+@pytest.mark.parametrize("g, n", CRIT2_PAIRS + [(0, 3), (0, 4), (0, 5)])
+def test_cache_file_round_trip_matches_generation(tmp_path, g, n):
+    for gen in (generate_marked, generate_oriented):
+        cat = gen(g, labels(n))
+        path = str(tmp_path / f"{cat.flavor}.json")
+        _store(cat, path)
+        assert cells(load_catalog(path)) == cells(cat)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_genus_zero_oriented_round_trip_keeps_the_corolla_directed(tmp_path, n):
-    # the edgeless corolla has no edge to carry its direction in the JSON form
+    # the edgeless corolla's direction lives in the key's direction byte
     cat = generate_oriented(0, labels(n))
     assert any(e.graph.n_edges == 0 for e in cat.entries())
-    save_catalog(cat, str(tmp_path / "c"))
-    back = load_catalog(str(tmp_path / "c"))
-    assert [e.key for e in back.entries()] == [e.key for e in cat.entries()]
+    _store(cat, str(tmp_path / "c.json"))
+    back = load_catalog(str(tmp_path / "c.json"))
+    assert cells(back) == cells(cat)
     assert all(e.graph.directed for e in back.entries())
 
 
-def test_undirected_graph_in_oriented_catalog_raises(tmp_path):
-    cat = generate_oriented(1, labels(2))
-    save_catalog(cat, str(tmp_path / "c"))
-    victim = next(p for p in sorted((tmp_path / "c").glob("oriented_*.json"))
-                  if json.loads(p.read_text())["edges"])
-    doc = json.loads(victim.read_text())
-    for edge in doc["edges"]:
-        edge["dir"] = None
-    victim.write_text(json.dumps(doc))
-    with pytest.raises(GraphError, match="edge direction"):
-        load_catalog(str(tmp_path / "c"))
-
-
-def test_strict_index_is_refused(tmp_path):
-    # the strict profile is gone; its catalogs are not read under the standard one
-    save_catalog(generate_oriented(1, labels(2)), str(tmp_path / "c"))
-    index_path = tmp_path / "c" / "index.json"
-    index = json.loads(index_path.read_text())
-    assert index["profile"] == {"flavor": "oriented", "strict": False}
-    index["profile"]["strict"] = True
-    index_path.write_text(json.dumps(index))
-    with pytest.raises(GraphError, match="strict"):
-        load_catalog(str(tmp_path / "c"))
-
-
 def test_corrupt_catalog_raises(tmp_path):
-    cat = generate_marked(1, [1])
-    save_catalog(cat, str(tmp_path / "c"))
-    victim = next((tmp_path / "c").glob("marked_*.json"))
-    victim.write_text('{"vertices":[{"w":0},{"w":0}],"edges":[],"markings":{"1":0}}')
+    path = tmp_path / "c.json"
+    _store(generate_marked(1, [1]), str(path))
+    doc = json.loads(path.read_text())
+    for bad in [{**doc, "flavor": "weighted"}, {k: doc[k] for k in doc if k != "keys"},
+                {**doc, "keys": 7}, [doc]]:
+        path.write_text(json.dumps(bad))
+        with pytest.raises(GraphError):
+            load_catalog(str(path))
     with pytest.raises(GraphError):
-        load_catalog(str(tmp_path / "c"))
+        load_catalog(str(tmp_path))
+    with pytest.raises(GraphError):
+        load_catalog(str(tmp_path / "missing.json"))
+
+
+def edit_keys(edit):
+    """A corruption of the cache file that replaces its hex keys by
+    ``edit(keys)``."""
+    def corrupt(text):
+        doc = json.loads(text)
+        doc["keys"] = edit(doc["keys"])
+        return json.dumps(doc)
+    return corrupt
+
+
+def add_cell(weights, edges, marks, directed=False):
+    """A corruption that adds the canonical key of one graph."""
+    key = canonical_form(Graph(weights, edges, marks, directed)).key.hex()
+    return edit_keys(lambda keys: keys + [key])
+
+
+def relabel_last(keys):
+    """Replace the last key by the same graph with its vertices reversed,
+    which is not canonical."""
+    w, es, ms, directed = key_tuples(bytes.fromhex(keys[-1]))
+    top = len(w) - 1
+    key = encode_key(w[::-1], sorted((top - u, top - v) for (u, v) in es),
+                     [(l, top - v) for (l, v) in ms], directed).hex()
+    assert key != keys[-1]
+    return keys[:-1] + [key]
+
+
+# each corrupts the (1, 2) cache file of a flavour so that one check of
+# load_catalog fails and every other check would pass
+CORRUPTIONS = {
+    "truncated-json": ("marked", lambda text: text[:len(text) // 2]),
+    "non-hex-key": ("marked", edit_keys(lambda keys: ["zz" + keys[0][2:]] + keys[1:])),
+    "key-one-byte-short": ("marked", edit_keys(lambda keys: [keys[0][:-2]] + keys[1:])),
+    "key-one-byte-long": ("marked", edit_keys(lambda keys: [keys[0] + "00"] + keys[1:])),
+    "relabelled-key": ("oriented", edit_keys(relabel_last)),
+    "flipped-direction": ("oriented", edit_keys(lambda keys: ["00" + keys[0][2:]] + keys[1:])),
+    "foreign-labels": ("marked", add_cell([0], [(0, 0)], [(1, 0), (3, 0)])),
+    "unstable-cell": ("marked", add_cell([0, 0, 0], [(0, 0), (0, 1), (1, 2)],
+                                         [(1, 2), (2, 2)])),
+    "disconnected-cell": ("marked", add_cell([0, 0], [(0, 0), (1, 1)], [(1, 0), (2, 1)])),
+    "genus-two-cell": ("marked", add_cell([0, 0], [(0, 0), (0, 1), (1, 1)], [(1, 0), (2, 1)])),
+    "weighted-cell": ("marked", add_cell([1, 0], [(0, 1), (0, 1)], [(1, 1), (2, 1)])),
+    "directed-cycle": ("oriented", add_cell([0, 0], [(0, 1), (1, 0)], [(1, 0), (2, 1)],
+                                            directed=True)),
+}
+
+
+@pytest.mark.parametrize("flavor, corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+def test_corrupt_cache_file_is_regenerated(tmp_path, monkeypatch, flavor, corrupt):
+    monkeypatch.setenv("OGCLAB_CACHE", str(tmp_path))
+    fresh = generate_or_load(flavor, 1, labels(2))
+    path = Path(cache_path(flavor, 1, labels(2)))
+    path.write_text(corrupt(path.read_text()))
+    with pytest.raises(GraphError):
+        load_catalog(str(path))
+    assert cells(generate_or_load(flavor, 1, labels(2))) == cells(fresh)
+    assert cells(load_catalog(str(path))) == cells(fresh)
 
 
 def test_cache_env_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("OGCLAB_CACHE", str(tmp_path))
     a = generate_or_load("marked", 1, [1, 2])
-    assert (tmp_path / "marked_g1_n2_std_v1").is_dir()
+    assert [p.name for p in tmp_path.iterdir()] == ["marked_g1_n2_std_v1.json"]
     b = generate_or_load("marked", 1, [1, 2])
-    assert [e.key for e in a.entries()] == [e.key for e in b.entries()]
+    assert cells(a) == cells(b)
 
 
 def test_cache_keyed_on_label_tuple(tmp_path, monkeypatch):
@@ -360,43 +417,50 @@ def test_cache_keyed_on_label_tuple(tmp_path, monkeypatch):
     b = generate_or_load("marked", 1, (5, 7))
     assert a.labels == (1, 2) and b.labels == (5, 7)
     assert all(entry.graph.labels == (5, 7) for entry in b.entries())
-    assert (tmp_path / "marked_g1_l5-7_std_v1").is_dir()
+    assert (tmp_path / "marked_g1_l5-7_std_v1.json").is_file()
     again = generate_or_load("marked", 1, (7, 5))
-    assert [e.key for e in again.entries()] == [e.key for e in b.entries()]
+    assert cells(again) == cells(b)
 
 
 def test_index_less_cache_directory_is_regenerated(tmp_path, monkeypatch):
+    # a directory of the former one-file-per-cell cache is never read
     monkeypatch.setenv("OGCLAB_CACHE", str(tmp_path))
-    partial = tmp_path / "oriented_g1_n2_std_v1"
-    partial.mkdir()
-    (partial / "oriented_d02_000000.json").write_text("{}")
+    old = tmp_path / "oriented_g1_n2_std_v1"
+    old.mkdir()
+    (old / "oriented_d02_000000.json").write_text("{}")
     cat = generate_or_load("oriented", 1, (1, 2))
     assert cat.total() == KNOWN_TOTALS[("oriented", 1, 2)]
-    back = load_catalog(str(partial))
-    assert [e.key for e in back.entries()] == [e.key for e in cat.entries()]
+    assert [p.name for p in old.iterdir()] == ["oriented_d02_000000.json"]
+    assert cells(load_catalog(str(tmp_path / "oriented_g1_n2_std_v1.json"))) == cells(cat)
 
 
 def test_stale_cache_for_other_labels_is_regenerated(tmp_path, monkeypatch):
     monkeypatch.setenv("OGCLAB_CACHE", str(tmp_path))
-    save_catalog(generate_marked(1, (3, 4)), str(tmp_path / "marked_g1_n2_std_v1"))
+    path = str(tmp_path / "marked_g1_n2_std_v1.json")
+    _store(generate_marked(1, (3, 4)), path)
     cat = generate_or_load("marked", 1, (1, 2))
     assert cat.labels == (1, 2)
-    assert load_catalog(str(tmp_path / "marked_g1_n2_std_v1")).labels == (1, 2)
+    assert load_catalog(path).labels == (1, 2)
 
 
 def test_interrupted_cache_write_leaves_no_catalog(tmp_path, monkeypatch):
     import ogclab.catalogs as catalogs
     monkeypatch.setenv("OGCLAB_CACHE", str(tmp_path))
 
-    def interrupted(cat, path):
-        os.makedirs(path, exist_ok=True)
-        (Path(path) / "marked_d01_000000.json").write_text("{}")
+    def interrupted_dump(doc, fh):
+        fh.write('{"flavor": "marked", "keys": ["0')
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(catalogs, "save_catalog", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        generate_or_load("marked", 1, (1,))
-    assert list(tmp_path.iterdir()) == []
+    def interrupted_replace(src, dst):
+        raise KeyboardInterrupt
+
+    for module, name, interrupted in [(catalogs.json, "dump", interrupted_dump),
+                                      (catalogs.os, "replace", interrupted_replace)]:
+        with monkeypatch.context() as m:
+            m.setattr(module, name, interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                generate_or_load("marked", 1, (1,))
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_cached_catalog_respects_max_cells(tmp_path, monkeypatch):
@@ -406,21 +470,3 @@ def test_cached_catalog_respects_max_cells(tmp_path, monkeypatch):
     with pytest.raises(ResourceCapExceeded):
         generate_or_load("oriented", 1, labels(2), max_cells=5)
     assert generate_or_load("oriented", 1, labels(2), max_cells=15).total() == 15
-
-
-def test_load_recomputes_index_kill_flags_and_orders(tmp_path, monkeypatch):
-    monkeypatch.setenv("OGCLAB_CACHE", str(tmp_path))
-    cat = generate_or_load("marked", 1, labels(2))
-    index_path = tmp_path / "marked_g1_n2_std_v1" / "index.json"
-    pristine = index_path.read_text()
-    for field_name, tamper in [("killed", lambda v: not v), ("aut_order", lambda v: v + 1)]:
-        index = json.loads(pristine)
-        rec = index["strata"]["2"][0]
-        rec[field_name] = tamper(rec[field_name])
-        index_path.write_text(json.dumps(index))
-        with pytest.raises(GraphError):
-            load_catalog(str(index_path.parent))
-        again = generate_or_load("marked", 1, labels(2))
-        assert [(e.key, e.killed, e.aut_order) for e in again.entries()] == \
-            [(e.key, e.killed, e.aut_order) for e in cat.entries()]
-        assert json.loads(index_path.read_text()) == json.loads(pristine)

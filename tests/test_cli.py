@@ -112,7 +112,7 @@ def test_cache_reused_between_commands(tmp_path, capsys, monkeypatch):
     os.makedirs(tmp_path / "cache", exist_ok=True)
     assert run(["betti", "-g", "1", "-n", "1", "--flavor", "marked"]) == 0
     capsys.readouterr()
-    assert (tmp_path / "cache" / "marked_g1_n1_std_v1").is_dir()
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["marked_g1_n1_std_v1.json"]
     assert run(["betti", "-g", "1", "-n", "1", "--flavor", "marked"]) == 0
     out = capsys.readouterr().out
     assert "betti" in out
@@ -138,15 +138,18 @@ def test_genus_zero_oriented_betti_survives_a_warm_cache(tmp_path, capsys, monke
     for _ in range(2):
         assert run(["betti", "-g", "0", "-n", "3"]) == 0
         outs.append(capsys.readouterr().out)
-    assert (tmp_path / "cache" / "oriented_g0_n3_std_v1").is_dir()
+    assert (tmp_path / "cache" / "oriented_g0_n3_std_v1.json").is_file()
     assert outs[0] == outs[1] and outs[0].startswith("flavor,")
 
 
 def test_partial_cache_directory_does_not_block_later_runs(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("OGCLAB_CACHE", str(tmp_path / "cache"))
-    (tmp_path / "cache" / "marked_g1_n1_std_v1").mkdir(parents=True)
+    # a directory of the former cache format is ignored, a partial file replaced
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("OGCLAB_CACHE", str(cache))
+    (cache / "marked_g1_n1_std_v1").mkdir(parents=True)
+    (cache / "marked_g1_n1_std_v1.json").write_text('{"flavor": "marked", "ke')
     assert run(["betti", "-g", "1", "-n", "1", "--flavor", "marked"]) == 0
-    assert (tmp_path / "cache" / "marked_g1_n1_std_v1" / "index.json").is_file()
+    assert json.loads((cache / "marked_g1_n1_std_v1.json").read_text())["keys"]
 
 
 def test_export_matrices_without_out_is_usage_error(capsys):

@@ -58,6 +58,8 @@ def test_acyclic_rejects_undirected():
 
 def test_marked_stability_loop_hair():
     assert is_stable(loop_with_hair(), StabilityProfile.marked())
+    # a loop is two half-edges: without the hair the vertex is bivalent
+    assert not is_stable(Graph([0], [(0, 0)]), StabilityProfile.marked())
 
 
 def test_marked_stability_positive_weight_unconstrained():

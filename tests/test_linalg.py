@@ -261,12 +261,17 @@ def test_matrix_market_short_file_names_path(tmp_path, body, message):
         read_matrix_market(str(path))
 
 
-@pytest.mark.parametrize("entry", ["3 1 5", "1 0 5"])
-def test_matrix_market_entry_outside_shape_names_path(tmp_path, entry):
+@pytest.mark.parametrize("body, entry", [
+    pytest.param("2 2 1\n3 1 5\n", "(3, 1)", id="3 1 5"),
+    pytest.param("2 2 1\n1 0 5\n", "(1, 0)", id="1 0 5"),
+    # write_matrix_market writes each nonzero entry once, and no zero
+    pytest.param("2 2 3\n1 1 5\n1 1 7\n2 2 0\n", "(1, 1)", id="repeated"),
+    pytest.param("2 2 2\n1 1 5\n2 2 0\n", "(2, 2)", id="zero"),
+])
+def test_matrix_market_entry_outside_shape_names_path(tmp_path, body, entry):
     path = tmp_path / "outside.mtx"
-    path.write_text("%%MatrixMarket matrix coordinate integer general\n"
-                    f"2 2 1\n{entry}\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: entry (")):
+    path.write_text("%%MatrixMarket matrix coordinate integer general\n" + body)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: entry {entry}")):
         read_matrix_market(str(path))
 
 
