@@ -11,27 +11,35 @@ cores are grown one edge at a time by canonical augmentation (McKay,
 *Isomorph-free exhaustive generation*, 1998), trying one new edge per
 automorphism orbit of the parent and keeping a child only when the new edge
 is in the orbit of its last canonical edge, so every core isomorphism class
-appears exactly once.  Then the cores are decorated: for the oriented
-flavour each edge is subdivided, directed forward or directed backward, and
-for both the markings are assigned so that each vertex gets at least the
-hairs ``_min_hairs`` reads off the profile.  Adding hairs never makes a
-vertex inadmissible, so every such assignment is stable; the decorations
-are deduplicated through canonical keys.  The automorphism generators found
-while canonicalising each cell give its kill flag and automorphism order.
-A subdivided edge stands for the bivalent double-outgoing source vertex, so
+appears exactly once.  Growth is pruned by the marking budget: a graph is
+dropped when even the most favourable placement of the edges still to come
+leaves its vertices needing more than ``n`` markings, each vertex needing
+what the decorators below would give it at its degree (``_core_need``).
+Then the cores are decorated: for the oriented flavour each edge is
+subdivided, directed forward or directed backward, and for both the
+markings are assigned so that each vertex gets at least the hairs
+``_min_hairs`` reads off the profile.  Adding hairs never makes a vertex
+inadmissible, so every such assignment is stable.  Decorations that an
+automorphism of the core (with the permutations of parallel edges) maps
+onto one another give the same cell, so only the lexicographically least
+of each orbit is canonicalised; the canonical keys remain the guard
+against duplicates.  The automorphism generators found while
+canonicalising each cell give its kill flag and automorphism order.  A
+subdivided edge stands for the bivalent double-outgoing source vertex, so
 oriented graphs of every shape arise from small cores.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .graphs import (Graph, GraphError, StabilityProfile, _acyclic, graph_to_json,
-                     is_connected, is_stable)
+from .graphs import (Graph, GraphError, StabilityProfile, _acyclic, is_connected,
+                     is_stable, json_text)
 from .canonical import (canonicalize, decode_key, group_closure, key_tuples,
                         automorphism_count, edge_orientation_killed, perm_parity)
 
@@ -88,7 +96,8 @@ def _check_pair(g: int, labels) -> tuple:
 _core_cache = {}
 
 
-def connected_cores(nv: int, ne: int, max_b1: int, allow_loops: bool):
+def connected_cores(nv: int, ne: int, max_b1: int, allow_loops: bool,
+                    flavor: str | None = None, budget: int | None = None):
     """Isomorphism classes of connected multigraphs with ``nv`` vertices and
     ``ne`` edges whose first Betti number is at most ``max_b1``, each as
     ``(canonical edges, full vertex automorphism group)``.
@@ -101,12 +110,34 @@ def connected_cores(nv: int, ne: int, max_b1: int, allow_loops: bool):
     orbit of the child's last canonical edge under ``Aut(P+e)``.  A class is
     therefore produced exactly once, from the class of itself minus its last
     canonical edge, at one canonicalisation per candidate.
+
+    Given a ``flavor`` and a marking ``budget``, a graph is dropped before it
+    is canonicalised when every completion with the ``L`` edges still to add
+    needs more than ``budget`` markings, as in the degree-bound pruning of
+    nauty's geng (McKay & Piperno, 2014).  A vertex of degree ``d`` needs at
+    least ``_core_need(flavor, d)`` markings (3, 2, 1, 0 marked and 2, 1, 1,
+    0 oriented for ``d`` = 0, 1, 2, 3+), and ``_least_need`` gives the least
+    total when the ``2L`` half-edges still to come are spread in the most
+    favourable way.  The bound never exceeds the need of any completion, and
+    a parent's completions include its children's, so the augmentation stays
+    complete: the cores returned are those of the unpruned call whose
+    vertices need at most ``budget`` markings together.
     """
-    cache_key = (nv, ne, max_b1, allow_loops)
+    cache_key = (nv, ne, max_b1, allow_loops, flavor, budget)
     hit = _core_cache.get(cache_key)
     if hit is not None:
         return hit
-    if ne < nv - 1:
+    prune = budget is not None
+
+    def hopeless(edges, left):
+        deg = [0] * nv
+        for (u, v) in edges:
+            deg[u] += 1
+            deg[v] += 1
+        needy = tuple(sorted(d for d in deg if _core_need(flavor, d)))
+        return _least_need(flavor, needy, 2 * left) > budget
+
+    if ne < nv - 1 or prune and hopeless((), ne):
         _core_cache[cache_key] = []
         return []
     if allow_loops:
@@ -115,12 +146,12 @@ def connected_cores(nv: int, ne: int, max_b1: int, allow_loops: bool):
         pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
     weights = (0,) * nv
     level = [((), canonicalize(weights, (), (), False)[2])]
-    for _ in range(ne):
+    for left in range(ne - 1, -1, -1):          # edges still to add after this one
         nxt = []
         for edges, gens in level:
             for e in _pair_orbit_representatives(pairs, gens):
                 child = tuple(sorted(edges + (e,)))
-                if _b1_bound(nv, child) > max_b1:
+                if _b1_bound(nv, child) > max_b1 or prune and hopeless(child, left):
                     continue
                 key, vperm, child_gens = canonicalize(weights, child, (), False)
                 child_edges = key_tuples(key)[1]
@@ -134,6 +165,35 @@ def connected_cores(nv: int, ne: int, max_b1: int, allow_loops: bool):
             out.append((edges, group_closure(gens, nv)))
     _core_cache[cache_key] = out
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _core_need(flavor, degree):
+    """Fewest markings a decoration of ``flavor`` gives a core vertex of
+    ``degree``: the decorator's own minimum, for the oriented flavour at its
+    least over the in/out splits of the degree.  Non-increasing in the
+    degree and 0 from degree 3 on, for both flavours."""
+    profile = _PROFILES[flavor]
+    if flavor == "marked":
+        return _min_hairs(profile, degree, 0, degree)
+    return min(_oriented_min(profile, k, degree - k) for k in range(degree + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _least_need(flavor, degrees, half_edges):
+    """Least total ``_core_need`` of vertices of the sorted ``degrees`` after
+    at most ``half_edges`` more half-edges are spread over them.  Vertices
+    that need nothing are left out, as more half-edges keep their need 0."""
+    if not degrees:
+        return 0
+    d, rest = degrees[0], degrees[1:]
+    totals = []
+    for x in range(half_edges + 1):
+        here = _core_need(flavor, d + x)
+        totals.append(here + _least_need(flavor, rest, half_edges - x))
+        if not here:
+            break       # more half-edges here only take them from the rest
+    return min(totals)
 
 
 def _pair_orbit_representatives(pairs, gens):
@@ -239,14 +299,15 @@ def _generate(flavor, g, labels, max_cells):
         vmax, decorations = max(1, 2 * g - 2 + 2 * n), _oriented_decorations
     found = {}
     for nv in range(1, vmax + 1):
-        for core in connected_cores(nv, nv + g - 1, g, allow_loops=True):
+        for core in connected_cores(nv, nv + g - 1, g, True, flavor, n):
             for key, gens in decorations(nv, core, labels, profile):
                 if key not in found:
                     found[key] = gens
                     if max_cells is not None and len(found) > max_cells:
                         raise ResourceCapExceeded(
                             f"{flavor} catalog for (g={g}, n={n}) exceeds {max_cells} cells")
-    return _build_catalog(flavor, g, labels, profile, found)
+    return _build_catalog(flavor, g, labels, profile,
+                          ((key, decode_key(key), found[key]) for key in sorted(found)))
 
 
 def _min_hairs(profile, valence, n_in, n_out):
@@ -276,11 +337,37 @@ def _marked_decorations(nv, core, labels, profile):
     return out
 
 
+def _oriented_min(profile, n_in, n_out):
+    """Fewest markings the oriented decorator gives a core vertex with
+    ``n_in`` incoming and ``n_out`` outgoing edge ends, the two ends of a
+    subdivided edge counting as incoming: ``_min_hairs``, raised to one on a
+    bivalent double-outgoing vertex, the shape a subdivided edge stands for
+    and is generated as."""
+    m = _min_hairs(profile, n_in + n_out, n_in, n_out)
+    if m == 0 and n_in == 0 and n_out == 2:
+        return 1
+    return m
+
+
 SUB, FWD, BWD = 0, 1, 2
+_REVERSED = (SUB, BWD, FWD)      # a choice seen from the edge's other end
 
 
 def _oriented_decorations(nv, core, labels, profile):
-    edges, _ = core
+    """Oriented cells over ``core`` as ``(key, automorphism generators)``:
+    each edge is subdivided (``SUB``) or directed from its lower end
+    (``FWD``) or its higher end (``BWD``), and the markings are assigned
+    with at least ``_oriented_min`` at each core vertex.
+
+    Only one ``(choice, assignment)`` pair per orbit of Aut(core), together
+    with the permutations inside parallel bundles, is canonicalised: the
+    lexicographically least.  So the choices are sorted within each bundle;
+    no non-identity automorphism maps the choice vector to a smaller one
+    (an edge whose ends it swaps trades ``FWD`` and ``BWD``, and each
+    bundle is sorted again); and under the automorphisms that fix the
+    choice vector the assignment must be ``_orbit_minimal``.  Pairs in one
+    orbit give the same cell, so no cell is lost."""
+    edges, auts = core
     n = len(labels)
     ne = len(edges)
     # vertex v is complete once every incident edge has been decided
@@ -291,17 +378,27 @@ def _oriented_decorations(nv, core, labels, profile):
     finishers = [[] for _ in range(ne)]
     for v in range(nv if ne else 0):
         finishers[last_touch[v]].append(v)
+    # the canonical edges are sorted, so a parallel bundle is a run of them
+    bundles = []
+    for i, e in enumerate(edges):
+        if i and edges[i - 1] == e:
+            bundles[-1][1].append(i)
+        else:
+            bundles.append((e, [i]))
+    where = {e: b for b, (e, _) in enumerate(bundles)}
+    # per non-identity automorphism, the bundle each bundle comes from and
+    # whether its ends are swapped, in bundle order
+    images = []
+    for a in auts[1:]:       # auts is sorted, so the identity comes first
+        sources = [None] * len(bundles)
+        for (u, v), members in bundles:
+            x, y = a[u], a[v]
+            sources[where[(x, y) if x <= y else (y, x)]] = (members, x > y)
+        images.append((a, sources))
     ind = [0] * nv
     out = [0] * nv
     choice = [SUB] * ne
     results = []
-
-    def profile_min(v):
-        m = _min_hairs(profile, ind[v] + out[v], ind[v], out[v])
-        if m == 0 and ind[v] == 0 and out[v] == 2:
-            # identical to a subdivided edge; that shape is generated there
-            m = 1
-        return m
 
     def rec(i, deficit):
         if deficit > n:
@@ -311,6 +408,8 @@ def _oriented_decorations(nv, core, labels, profile):
             return
         (u, v) = edges[i]
         opts = (SUB,) if u == v else (SUB, FWD, BWD)
+        if i and edges[i - 1] == edges[i]:
+            opts = [c for c in opts if c >= choice[i - 1]]
         for c in opts:
             if c == SUB:
                 ind[u] += 1
@@ -324,7 +423,7 @@ def _oriented_decorations(nv, core, labels, profile):
             choice[i] = c
             d = deficit
             for w in finishers[i]:
-                d += profile_min(w)
+                d += _oriented_min(profile, ind[w], out[w])
             rec(i + 1, d)
             if c == SUB:
                 ind[u] -= 1
@@ -337,7 +436,16 @@ def _oriented_decorations(nv, core, labels, profile):
                 out[v] -= 1
 
     def finish():
-        minima = [profile_min(v) for v in range(nv)]
+        fixing = []
+        for a, sources in images:
+            image = []
+            for members, swapped in sources:
+                image += sorted(_REVERSED[choice[j]] if swapped else choice[j]
+                                for j in members)
+            if image < choice:
+                return
+            if image == choice:
+                fixing.append(a)
         es = []
         nv2 = nv
         for i, (u, v) in enumerate(edges):
@@ -352,9 +460,12 @@ def _oriented_decorations(nv, core, labels, profile):
                 es.append((v, u))
         if not _acyclic(nv2, es):
             return
+        minima = [_oriented_min(profile, ind[v], out[v]) for v in range(nv)]
         weights = (0,) * nv2
         es = tuple(es)
         for assign in _assignments(nv, n, minima):
+            if fixing and not _orbit_minimal(assign, fixing):
+                continue
             marks = tuple(sorted(zip(labels, assign)))
             key, _, gens = canonicalize(weights, es, marks, True)
             results.append((key, gens))
@@ -365,13 +476,15 @@ def _oriented_decorations(nv, core, labels, profile):
 
 # -- shared assembly -----------------------------------------------------------------
 
-def _build_catalog(flavor, g, labels, profile, found):
-    """Catalog from ``found``: canonical key -> automorphism generators."""
+def _build_catalog(flavor, g, labels, profile, cells):
+    """Catalog from ``cells``, triples ``(canonical key, its graph,
+    automorphism generators)`` in key order.  The degree is read off the key
+    header: the edge count for marked cells, the vertex count for oriented
+    ones."""
     strata = {}
-    for key in sorted(found):
-        graph = decode_key(key)
-        deg = graph.n_edges if flavor == "marked" else graph.n_vertices
-        strata.setdefault(deg, []).append(_entry(flavor, key, graph, found[key]))
+    for key, graph, gens in cells:
+        deg = key[2] if flavor == "marked" else key[1]
+        strata.setdefault(deg, []).append(_entry(flavor, key, graph, gens))
     return GraphCatalog(flavor=flavor, genus=g, labels=labels,
                         profile=profile, strata=strata)
 
@@ -421,8 +534,7 @@ def save_catalog(cat: GraphCatalog, path: str) -> None:
         files = []
         for i, entry in enumerate(cat.strata[deg]):
             name = f"{cat.flavor}_d{deg:02d}_{i:06d}.json"
-            with open(os.path.join(path, name), "w") as fh:
-                fh.write(graph_to_json(entry.graph))
+            _write_file(os.path.join(path, name), json_text(*key_tuples(entry.key)).encode())
             files.append({"file": name, "killed": entry.killed,
                           "aut_order": entry.aut_order})
         index["strata"][str(deg)] = files
@@ -430,19 +542,33 @@ def save_catalog(cat: GraphCatalog, path: str) -> None:
         json.dump(index, fh, indent=1, sort_keys=True)
 
 
+def _write_file(path, data: bytes) -> None:
+    """Create or truncate ``path`` and write ``data`` to it, in three system
+    calls for a small file."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
 def load_catalog(path: str) -> GraphCatalog:
     """Read the cache file ``_store`` writes.  Every key must be a cell
     generation could have made: canonical, of the file's flavour and labels,
     connected, weight 0 and of its genus, stable, acyclic when directed.
     Degrees, kill flags and |Aut| are recomputed by ``_build_catalog``, as
-    for a generated catalog.  Malformed input raises ``GraphError``."""
+    for a generated catalog, from the one decoding the checks made.
+    Malformed input raises ``GraphError``."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
         flavor, g, labels = doc["flavor"], doc["genus"], tuple(doc["labels"])
         profile, directed = _PROFILES[flavor], flavor == "oriented"
-        found = {}
-        for key in map(bytes.fromhex, doc["keys"]):
+        keys = sorted(set(map(bytes.fromhex, doc["keys"])))
+
+        def checked(key):
             graph = decode_key(key)
             canon, _, gens = canonicalize(*graph.key())
             if (canon != key or key[0] != directed or graph.labels != labels
@@ -452,10 +578,11 @@ def load_catalog(path: str) -> GraphCatalog:
                     or directed and not _acyclic(graph.n_vertices, graph.edges)):
                 raise GraphError(f"key {key.hex()} is no canonical {flavor} "
                                  f"cell of genus {g} with labels {labels}")
-            found[key] = gens
+            return key, graph, gens
+
+        return _build_catalog(flavor, g, labels, profile, map(checked, keys))
     except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
         raise GraphError(f"cannot read catalog at {path}: {exc!r}") from exc
-    return _build_catalog(flavor, g, labels, profile, found)
 
 
 def cache_path(flavor: str, g: int, labels) -> str | None:

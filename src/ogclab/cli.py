@@ -3,7 +3,7 @@ spanning-forest verification.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 usage error
 (including an ``--out`` or ``OGCLAB_CACHE`` that cannot be written), 3
-resource cap exceeded.
+resource cap exceeded, 130 interrupted (Ctrl-C).
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERRUPTED = 130     # 128 + SIGINT, as a shell reports it
 
 
 def _parse_range(text: str):
@@ -209,6 +210,9 @@ def main(argv=None) -> int:
     except (ComplexError, RankError) as exc:
         print(f"mathematical check failed: {exc}", file=sys.stderr)
         return EXIT_MATH
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -277,17 +277,19 @@ def contract_loop(g: Graph, e: int) -> Graph:
 #  "markings":{"label": vertex}}
 
 def graph_to_json(g: Graph) -> str:
-    verts = [{"w": w} for w in g.weights]
-    edges = []
-    for (u, v) in g.edges:
-        if g.directed:
-            edges.append({"h": [u, v], "dir": 0})
-        else:
-            edges.append({"h": [u, v], "dir": None})
-    markings = {str(l): v for (l, v) in g.marks}
-    doc = {"vertices": verts, "edges": edges,
-           "markings": {k: markings[k] for k in sorted(markings, key=lambda s: (len(s), s))}}
-    return json.dumps(doc, separators=(",", ":"))
+    return json_text(*g.key())
+
+
+def json_text(weights, edges, marks, directed) -> str:
+    """The JSON text of a graph given as tuples, in the schema above, with
+    no whitespace and the markings ordered by the length, then the text, of
+    their labels, which is numeric order for labels of 0 and more."""
+    direction = "0" if directed else "null"
+    verts = ",".join(f'{{"w":{w}}}' for w in weights)
+    es = ",".join(f'{{"h":[{u},{v}],"dir":{direction}}}' for (u, v) in edges)
+    labelled = sorted(((str(l), v) for (l, v) in marks), key=lambda m: (len(m[0]), m[0]))
+    ms = ",".join(f'"{l}":{v}' for (l, v) in labelled)
+    return f'{{"vertices":[{verts}],"edges":[{es}],"markings":{{{ms}}}}}'
 
 
 def graph_from_json(text: str) -> Graph:

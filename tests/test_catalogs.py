@@ -2,17 +2,21 @@
 import itertools
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 import oracle
+import reference_catalogs
 
+import ogclab.catalogs as catalogs
 from ogclab.graphs import (Graph, GraphError, StabilityProfile, contract_edge,
                            genus, is_acyclic, is_stable)
-from ogclab.canonical import canonical_form, encode_key, key_tuples
-from ogclab.catalogs import (ResourceCapExceeded, _min_hairs, _store, cache_path,
+from ogclab.canonical import canonical_form, decode_key, encode_key, key_tuples
+from ogclab.catalogs import (ResourceCapExceeded, _build_catalog, _core_need,
+                             _min_hairs, _store, cache_path, connected_cores,
                              generate_marked, generate_or_load, generate_oriented,
                              load_catalog, spanning_forests)
 from ogclab.complexes import _admissible_contractions, build_oriented_complex
@@ -215,6 +219,118 @@ def test_more_hairs_than_the_minimum_stay_admissible():
             low = _min_hairs(profile, valence, ind, out)
             for m in range(low, low + 5):
                 assert profile.admits(0, valence + m, ind, out + m), (profile.flavor, ind, out, m)
+
+
+# -- pruning by the marking budget ----------------------------------------------------
+
+def test_core_need_is_the_decorators_minimum():
+    # the table the connected_cores docstring states, non-increasing as the
+    # pruning bound requires
+    assert [_core_need("marked", d) for d in range(6)] == [3, 2, 1, 0, 0, 0]
+    assert [_core_need("oriented", d) for d in range(6)] == [2, 1, 1, 0, 0, 0]
+    for flavor in ("marked", "oriented"):
+        needs = [_core_need(flavor, d) for d in range(12)]
+        assert needs == sorted(needs, reverse=True)
+
+
+# the criterion-1 pairs whose catalogs stay under the acceptance cell cap;
+# (2, 3) is the largest
+MARKED_UNDER_CAP = [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 1), (1, 2), (1, 3),
+                    (1, 4), (1, 5), (1, 6), (2, 1), (2, 2), (2, 3), (3, 1)]
+ORIENTED_UNDER_CAP = [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (1, 4),
+                      (2, 1), (2, 2), (2, 3), (3, 1)]
+
+
+def core_need(flavor, edges, nv):
+    deg = [0] * nv
+    for (u, v) in edges:
+        deg[u] += 1
+        deg[v] += 1
+    return sum(_core_need(flavor, d) for d in deg)
+
+
+@pytest.mark.parametrize("flavor, g, n", [("marked", g, n) for g, n in MARKED_UNDER_CAP]
+                         + [("oriented", g, n) for g, n in ORIENTED_UNDER_CAP])
+def test_pruned_cores_are_the_unpruned_cores_within_budget(flavor, g, n):
+    vmax = max(1, 2 * g - 2 + (n if flavor == "marked" else 2 * n))
+    for nv in range(1, vmax + 1):
+        args = (nv, nv + g - 1, g, True)
+        kept = [core for core in connected_cores(*args)
+                if core_need(flavor, core[0], nv) <= n]
+        assert connected_cores(*args, flavor, n) == kept, (nv, flavor, g, n)
+
+
+def reference_oriented_catalog(g, n):
+    """The oriented catalog from the unpruned cores and the decorator that
+    canonicalises every decoration."""
+    profile = StabilityProfile.oriented()
+    found = {}
+    for nv in range(1, max(1, 2 * g - 2 + 2 * n) + 1):
+        for core in connected_cores(nv, nv + g - 1, g, True):
+            for key, gens in reference_catalogs.oriented_decorations(
+                    nv, core, labels(n), profile):
+                found.setdefault(key, gens)
+    return _build_catalog("oriented", g, labels(n), profile,
+                          ((key, decode_key(key), found[key]) for key in sorted(found)))
+
+
+@pytest.mark.parametrize("g, n", CRIT2_PAIRS + [(0, 3), (0, 4), (0, 5)])
+def test_orbit_pruned_decorations_give_the_reference_catalog(g, n):
+    assert cells(generate_oriented(g, labels(n))) == cells(reference_oriented_catalog(g, n))
+
+
+def test_generation_counts_at_one_four(monkeypatch):
+    # deterministic counts catch a lost prune where timings would not: one
+    # decoration canonicalisation per cell, and the core canonicalisations
+    # of budget-pruned growth from an empty core cache (5,884 unpruned)
+    counts = Counter()
+    inside = []
+
+    def counting_cores(*args):
+        inside.append(True)
+        try:
+            return connected_cores(*args)
+        finally:
+            inside.pop()
+
+    def counting_canonicalize(*args):
+        counts["cores" if inside else "decorations"] += 1
+        return canonicalize(*args)
+
+    canonicalize = catalogs.canonicalize
+    monkeypatch.setattr(catalogs, "_core_cache", {})
+    monkeypatch.setattr(catalogs, "connected_cores", counting_cores)
+    monkeypatch.setattr(catalogs, "canonicalize", counting_canonicalize)
+    found = {}
+    for gen in (generate_marked, generate_oriented):
+        counts.clear()
+        cat = gen(1, labels(4))
+        found[cat.flavor] = (cat.total(), counts["decorations"], counts["cores"])
+    assert found == {"marked": (111, 111, 67), "oriented": (11483, 11483, 2101)}
+
+
+@pytest.mark.parametrize("flavor", ["marked", "oriented"])
+def test_each_key_is_decoded_once(tmp_path, monkeypatch, flavor):
+    decoded = Counter()
+
+    def counting(fn):
+        def wrapped(key):
+            decoded[key] += 1
+            return fn(key)
+        return wrapped
+
+    monkeypatch.setattr(catalogs, "decode_key", counting(catalogs.decode_key))
+    monkeypatch.setattr(catalogs, "key_tuples", counting(catalogs.key_tuples))
+    gen = generate_marked if flavor == "marked" else generate_oriented
+    cat = gen(1, labels(3))
+    keys = [e.key for e in cat.entries()]
+    assert all(decoded[key] == 1 for key in keys)
+    path = str(tmp_path / "c.json")
+    _store(cat, path)
+    decoded.clear()
+    back = load_catalog(path)
+    assert cells(back) == cells(cat)
+    assert decoded == Counter(keys)
 
 
 # -- contraction targets -----------------------------------------------------------

@@ -204,3 +204,26 @@ def test_cache_root_that_is_a_file_is_usage_error(tmp_path, capsys, monkeypatch)
                 "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("usage error") and str(root) in err[0]
+
+
+@pytest.mark.parametrize("stage", ["generate", "cache-write"])
+def test_interrupt_exits_130_without_traceback(tmp_path, capsys, monkeypatch, stage):
+    import ogclab.catalogs as catalogs
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    if stage == "generate":
+        monkeypatch.setattr(catalogs, "generate_oriented", interrupted)
+    else:
+        monkeypatch.setattr(catalogs.json, "dump", interrupted)
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("OGCLAB_CACHE", str(cache))
+    code = run(["enumerate", "--flavor", "oriented", "-g", "1", "-n", "2",
+                "--out", str(tmp_path / "out")])
+    assert code == 130
+    captured = capsys.readouterr()
+    assert captured.err == "interrupted\n"
+    assert "Traceback" not in captured.out
+    assert list(tmp_path.rglob("*.tmp-*")) == []
+    assert not cache.exists() or list(cache.iterdir()) == []
