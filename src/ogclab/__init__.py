@@ -14,7 +14,7 @@ from .linalg import (RankError, SparseIntMatrix, kernel_basis, multiply,
 from .complexes import (BettiTable, ComplexError, GradedComplex, betti,
                         betti_shift_matches, build_marked_complex,
                         build_oriented_complex, build_oriented_complexes,
-                        euler_characteristic, hc_degree, cell_degree_from_hc)
+                        euler_characteristic, hc_degree)
 from .zivkovic import (ForestOrientedGraph, forest_orient, psi_matrix,
                        complete_chain_map, run_verification, verify_chain_map,
                        verify_quasi_iso)
@@ -32,7 +32,7 @@ __all__ = [
     "ComplexError", "GradedComplex", "betti", "betti_shift_matches",
     "build_marked_complex", "build_oriented_complex", "build_oriented_complexes",
     "euler_characteristic",
-    "hc_degree", "cell_degree_from_hc", "ForestOrientedGraph", "forest_orient",
+    "hc_degree", "ForestOrientedGraph", "forest_orient",
     "psi_matrix", "complete_chain_map", "run_verification", "verify_chain_map",
     "verify_quasi_iso",
 ]

@@ -261,26 +261,18 @@ class CanonicalForm:
 
     ``vertex_map`` sends old vertex ids to canonical ids; ``edge_map`` is the
     induced edge bijection (parallel bundles matched in input order);
-    ``gens`` generate the vertex automorphisms of the canonical graph and
-    ``auts`` lists them all.
+    ``gens`` generate the vertex automorphisms of the canonical graph.
     """
-    __slots__ = ("key", "vertex_map", "gens", "_auts", "_graph", "_edge_map", "_src")
+    __slots__ = ("key", "vertex_map", "gens", "_graph", "_edge_map", "_src")
 
     def __init__(self, src: Graph):
         key, vperm, gens = canonicalize(src.weights, src.edges, src.marks, src.directed)
         self.key = key
         self.vertex_map = vperm
         self.gens = gens
-        self._auts = None
         self._src = src
         self._graph = None
         self._edge_map = None
-
-    @property
-    def auts(self):
-        if self._auts is None:
-            self._auts = group_closure(self.gens, len(self.vertex_map))
-        return self._auts
 
     @property
     def graph(self) -> Graph:
@@ -297,7 +289,7 @@ class CanonicalForm:
 
     def aut_order(self) -> int:
         """Order of the half-edge level automorphism group."""
-        return automorphism_count(self.graph, self.gens)
+        return automorphism_count(self.graph.key(), self.gens)
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -322,31 +314,35 @@ def induced_edge_map(edges, vperm, canonical_edges, directed):
     return tuple(out)
 
 
-def edge_orientation_killed(g: Graph, auts) -> bool:
-    """True iff some automorphism acts with sign -1 on the edge set.  Any
-    parallel bundle (or repeated loop) carries an odd swap already.  Without
-    bundles the edge sign is a homomorphism, so ``auts`` may be generators."""
-    cnt = Counter((min(u, v), max(u, v)) for (u, v) in g.edges)
+def edge_orientation_killed(cell, auts) -> bool:
+    """True iff some automorphism of ``cell = (weights, edges, marks,
+    directed)`` acts with sign -1 on the edge set.  Any parallel bundle (or
+    repeated loop) carries an odd swap already.  Without bundles the edge
+    sign is a homomorphism, so ``auts`` may be generators."""
+    _, edges, _, directed = cell
+    cnt = Counter((min(u, v), max(u, v)) for (u, v) in edges)
     if any(c >= 2 for c in cnt.values()):
         return True
     for a in auts:
-        em = induced_edge_map(g.edges, a, g.edges, g.directed)
+        em = induced_edge_map(edges, a, edges, directed)
         if perm_parity(em) < 0:
             return True
     return False
 
 
-def automorphism_count(g: Graph, gens) -> int:
-    """Half-edge level automorphism count: vertex automorphisms (the group
-    ``gens`` generate) times the parallel-bundle permutations they leave
-    free, times loop flips."""
-    if g.directed:
-        bundles = Counter(g.edges)
+def automorphism_count(cell, gens) -> int:
+    """Half-edge level automorphism count of ``cell = (weights, edges,
+    marks, directed)``: vertex automorphisms (the group ``gens`` generate)
+    times the parallel-bundle permutations they leave free, times loop
+    flips."""
+    weights, edges, _, directed = cell
+    if directed:
+        bundles = Counter(edges)
         loops = 0
     else:
-        bundles = Counter((min(u, v), max(u, v)) for (u, v) in g.edges)
-        loops = sum(1 for (u, v) in g.edges if u == v)
+        bundles = Counter((min(u, v), max(u, v)) for (u, v) in edges)
+        loops = sum(1 for (u, v) in edges if u == v)
     bundle_factor = 1
     for c in bundles.values():
         bundle_factor *= factorial(c)
-    return len(group_closure(gens, g.n_vertices)) * bundle_factor * (2 ** loops)
+    return len(group_closure(gens, len(weights))) * bundle_factor * (2 ** loops)

@@ -27,6 +27,12 @@ against duplicates.  The automorphism generators found while
 canonicalising each cell give its kill flag and automorphism order.  A
 subdivided edge stands for the bivalent double-outgoing source vertex, so
 oriented graphs of every shape arise from small cores.
+
+A cell stays the tuples of its canonical key (``key_tuples``) from
+generation through the cache file and back; no ``Graph`` is built on that
+path.  Connectivity and the first Betti number come from one union-find,
+``graphs._b1_bound``, in core growth, in the spanning forests and in the
+cache check.
 """
 from __future__ import annotations
 
@@ -38,8 +44,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .graphs import (Graph, GraphError, StabilityProfile, _acyclic, is_connected,
-                     is_stable, json_text)
+from .graphs import (Graph, GraphError, StabilityProfile, _acyclic, _b1_bound,
+                     _stable, json_text)
 from .canonical import (canonicalize, decode_key, group_closure, key_tuples,
                         automorphism_count, edge_orientation_killed, perm_parity)
 
@@ -222,25 +228,6 @@ def _pair_orbit(pair, gens):
     return orbit
 
 
-def _b1_bound(nv, edges):
-    parent = list(range(nv))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    b1 = 0
-    for (u, v) in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            b1 += 1
-        else:
-            parent[ru] = rv
-    return b1
-
-
 # -- hair assignment enumeration -------------------------------------------------
 
 def _assignments(nv, nlabels, minima):
@@ -307,7 +294,7 @@ def _generate(flavor, g, labels, max_cells):
                         raise ResourceCapExceeded(
                             f"{flavor} catalog for (g={g}, n={n}) exceeds {max_cells} cells")
     return _build_catalog(flavor, g, labels, profile,
-                          ((key, decode_key(key), found[key]) for key in sorted(found)))
+                          ((key, key_tuples(key), found[key]) for key in sorted(found)))
 
 
 def _min_hairs(profile, valence, n_in, n_out):
@@ -477,28 +464,28 @@ def _oriented_decorations(nv, core, labels, profile):
 # -- shared assembly -----------------------------------------------------------------
 
 def _build_catalog(flavor, g, labels, profile, cells):
-    """Catalog from ``cells``, triples ``(canonical key, its graph,
+    """Catalog from ``cells``, triples ``(canonical key, its key_tuples,
     automorphism generators)`` in key order.  The degree is read off the key
     header: the edge count for marked cells, the vertex count for oriented
     ones."""
     strata = {}
-    for key, graph, gens in cells:
+    for key, cell, gens in cells:
         deg = key[2] if flavor == "marked" else key[1]
-        strata.setdefault(deg, []).append(_entry(flavor, key, graph, gens))
+        strata.setdefault(deg, []).append(_entry(flavor, key, cell, gens))
     return GraphCatalog(flavor=flavor, genus=g, labels=labels,
                         profile=profile, strata=strata)
 
 
-def _entry(flavor, key, graph, gens):
-    """Entry for the canonical ``graph`` with automorphism generators
-    ``gens``.  Kill flags are read off the generators, as both signs are
-    homomorphisms (the edge sign once parallel bundles, which kill outright,
-    are ruled out)."""
+def _entry(flavor, key, cell, gens):
+    """Entry for the canonical ``key``, decoded to ``cell``, with
+    automorphism generators ``gens``.  Kill flags are read off the
+    generators, as both signs are homomorphisms (the edge sign once parallel
+    bundles, which kill outright, are ruled out)."""
     if flavor == "marked":
-        killed = edge_orientation_killed(graph, gens)
+        killed = edge_orientation_killed(cell, gens)
     else:
         killed = any(perm_parity(a) < 0 for a in gens)
-    return CatalogEntry(key=key, killed=killed, aut_order=automorphism_count(graph, gens))
+    return CatalogEntry(key=key, killed=killed, aut_order=automorphism_count(cell, gens))
 
 
 # -- spanning forests -----------------------------------------------------------------
@@ -559,26 +546,32 @@ def load_catalog(path: str) -> GraphCatalog:
     generation could have made: canonical, of the file's flavour and labels,
     connected, weight 0 and of its genus, stable, acyclic when directed.
     Degrees, kill flags and |Aut| are recomputed by ``_build_catalog``, as
-    for a generated catalog, from the one decoding the checks made.
+    for a generated catalog, from the one ``key_tuples`` decoding the checks
+    made; connectivity and genus come together from ``_b1_bound``.  The
+    labels must pass ``_check_pair``, and an edge end or a marking on a
+    vertex past the key's vertex count fails in ``canonicalize``.
     Malformed input raises ``GraphError``."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        flavor, g, labels = doc["flavor"], doc["genus"], tuple(doc["labels"])
+        flavor, g = doc["flavor"], doc["genus"]
+        labels = _check_pair(g, doc["labels"])
         profile, directed = _PROFILES[flavor], flavor == "oriented"
         keys = sorted(set(map(bytes.fromhex, doc["keys"])))
 
         def checked(key):
-            graph = decode_key(key)
-            canon, _, gens = canonicalize(*graph.key())
-            if (canon != key or key[0] != directed or graph.labels != labels
-                    or any(graph.weights) or not is_connected(graph)
-                    or graph.n_edges - graph.n_vertices + 1 != g
-                    or not is_stable(graph, profile)
-                    or directed and not _acyclic(graph.n_vertices, graph.edges)):
+            cell = key_tuples(key)
+            weights, edges, marks, _ = cell
+            nv = len(weights)
+            canon, _, gens = canonicalize(*cell)
+            if (canon != key or key[0] != directed
+                    or tuple(l for (l, _) in marks) != labels or any(weights)
+                    or not _b1_bound(nv, edges) == g == len(edges) - nv + 1
+                    or not _stable(*cell, profile)
+                    or directed and not _acyclic(nv, edges)):
                 raise GraphError(f"key {key.hex()} is no canonical {flavor} "
                                  f"cell of genus {g} with labels {labels}")
-            return key, graph, gens
+            return key, cell, gens
 
         return _build_catalog(flavor, g, labels, profile, map(checked, keys))
     except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:

@@ -70,10 +70,6 @@ class GradedComplex:
             m = SparseIntMatrix(self.dim(k - 1), self.dim(k))
         return m
 
-    def splitting_matrix(self, k) -> SparseIntMatrix:
-        """Cohomological differential out of degree ``k-1``: the transpose."""
-        return self.differential(k).transpose()
-
     def rank_of_differential(self, k, seed=0):
         if k not in self._ranks:
             name = f"{self.flavor}(g={self.genus},n={len(self.labels)}) d_{k}"
@@ -81,20 +77,17 @@ class GradedComplex:
         return self._ranks[k]
 
 
-def build_marked_complex(catalog: GraphCatalog, d_parity: int = 0) -> GradedComplex:
+def build_marked_complex(catalog: GraphCatalog) -> GradedComplex:
     """Differential: sum of admissible contractions, the ``i``-th edge with
     the sign ``(-1)^i`` for removing it from the edge order, transported
     through the canonical relabelling."""
     if catalog.flavor != "marked":
         raise ComplexError("build_marked_complex needs a marked catalog")
-    if d_parity % 2 != 0:
-        raise ComplexError("the marked complex takes an even parity")
-    (cx,) = _assemble(catalog, d_parity, ["full"], _edge_order_sign)
+    (cx,) = _assemble(catalog, ["full"], _edge_order_sign)
     return cx
 
 
 def build_oriented_complex(catalog: GraphCatalog,
-                           d_parity: int = 1,
                            contract_subdivider_edges: bool = True) -> GradedComplex:
     """Differential: sum of admissible contractions; the sign moves the
     source and target vertex to the front of the vertex ordering before
@@ -107,25 +100,22 @@ def build_oriented_complex(catalog: GraphCatalog,
     nose; the full differential is the default and is what the Betti numbers
     refer to.
     """
-    _check_oriented(catalog, d_parity)
+    _check_oriented(catalog)
     variant = "full" if contract_subdivider_edges else "subdividers_frozen"
-    (cx,) = _assemble(catalog, d_parity, [variant], _vertex_order_sign)
+    (cx,) = _assemble(catalog, [variant], _vertex_order_sign)
     return cx
 
 
-def build_oriented_complexes(catalog: GraphCatalog, d_parity: int = 1):
+def build_oriented_complexes(catalog: GraphCatalog):
     """The full and the subdivider-frozen oriented complexes, ``(full,
     frozen)``, from one pass over the contractions."""
-    _check_oriented(catalog, d_parity)
-    return tuple(_assemble(catalog, d_parity, ["full", "subdividers_frozen"],
-                           _vertex_order_sign))
+    _check_oriented(catalog)
+    return tuple(_assemble(catalog, ["full", "subdividers_frozen"], _vertex_order_sign))
 
 
-def _check_oriented(catalog: GraphCatalog, d_parity: int) -> None:
+def _check_oriented(catalog: GraphCatalog) -> None:
     if catalog.flavor != "oriented":
         raise ComplexError("build_oriented_complex needs an oriented catalog")
-    if d_parity % 2 != 1:
-        raise ComplexError("the oriented complex takes an odd parity")
 
 
 def _edge_order_sign(edges, e, target_edges, vertex_map) -> int:
@@ -224,7 +214,7 @@ def _reaches(succ, a, b) -> bool:
     return False
 
 
-def _assemble(catalog: GraphCatalog, d_parity: int, variants, sign) -> list:
+def _assemble(catalog: GraphCatalog, variants, sign) -> list:
     """The one column loop behind both complexes, returning one complex per
     name in ``variants``.  The column of generator ``g`` in degree ``k``
     sums ``sign(edges, e, target_edges, vertex_map)`` over the admissible
@@ -233,12 +223,13 @@ def _assemble(catalog: GraphCatalog, d_parity: int, variants, sign) -> list:
     ``subdividers_frozen`` variant skips the subdivider edges.  A target
     with an orientation-reversing automorphism is zero; one missing from
     the catalog means the catalog is not closed under contraction, and
-    raises."""
+    raises.  The degree parity is the flavour's: 0 marked, 1 oriented."""
     basis, index, killed = {}, {}, set()
     for deg in catalog.degrees():
         basis[deg] = [e.key for e in catalog.strata[deg] if not e.killed]
         killed.update(e.key for e in catalog.strata[deg] if e.killed)
         index.update((key, (deg, i)) for i, key in enumerate(basis[deg]))
+    d_parity = 0 if catalog.flavor == "marked" else 1
     cxs = [GradedComplex(flavor=catalog.flavor, genus=catalog.genus,
                          labels=catalog.labels, d_parity=d_parity, basis=basis,
                          variant=variant, _index=index) for variant in variants]
@@ -294,10 +285,6 @@ def hc_degree(cell_degree: int, g: int, n: int, d_parity: int) -> int:
     """Compactly-supported cohomological degree for a cell degree, using the
     grading normalisation ``cell = hc + g(1-d) - n``."""
     return cell_degree - g * (1 - d_parity) + n
-
-
-def cell_degree_from_hc(hc: int, g: int, n: int, d_parity: int) -> int:
-    return hc + g * (1 - d_parity) - n
 
 
 @dataclass

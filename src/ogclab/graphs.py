@@ -16,6 +16,12 @@ directed edge the first end is the source.  Marking labels behave as outgoing
 half-edge stubs ("hairs"): they count towards valence and towards the
 outgoing degree of their vertex.
 
+Connectivity and the first Betti number come from one union-find
+(``_b1_bound``), acyclicity from one Kahn peel (``_acyclic``) and stability
+from ``_stable``, all on plain tuples, so the catalog code checks the tuples
+of a canonical key with them; ``is_connected``, ``is_acyclic`` and
+``is_stable`` wrap them for a ``Graph``.
+
 ``contract_edge`` is the contraction both differentials sum over; the
 assembly in ``complexes`` performs it on key tuples, and this function is its
 public reference.  ``contract_loop`` raises a vertex weight instead, so no
@@ -121,24 +127,29 @@ class Graph:
 
 def is_connected(g: Graph) -> bool:
     n = g.n_vertices
-    if n <= 1:
-        return True
-    adj = [[] for _ in range(n)]
-    for (u, v) in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    cnt = 1
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                cnt += 1
-                stack.append(w)
-    return cnt == n
+    return n <= 1 or g.n_edges - _b1_bound(n, g.edges) == n - 1
+
+
+def _b1_bound(nv, edges) -> int:
+    """Edges of ``edges`` that close a cycle, by one union-find over the
+    ``nv`` vertices: the first Betti number when the graph is connected,
+    which it is iff the other edges number ``nv - 1``."""
+    parent = list(range(nv))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    b1 = 0
+    for (u, v) in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            b1 += 1
+        else:
+            parent[ru] = rv
+    return b1
 
 
 def genus(g: Graph) -> int:
@@ -218,16 +229,25 @@ class StabilityProfile:
 
 
 def is_stable(g: Graph, profile: StabilityProfile) -> bool:
-    deg, ind, out, hair = g.degree_data()
-    for v in range(g.n_vertices):
-        val = deg[v] + hair[v]
-        if g.directed:
-            n_in, n_out = ind[v], out[v] + hair[v]
-        else:
-            n_in, n_out = 0, val
-        if not profile.admits(g.weights[v], val, n_in, n_out):
-            return False
-    return True
+    return _stable(*g.key(), profile)
+
+
+def _stable(weights, edges, marks, directed, profile) -> bool:
+    """Whether ``profile`` admits every vertex of the graph given as
+    tuples, its hairs counted into valence and the outgoing side."""
+    nv = len(weights)
+    val, n_in, n_out = [0] * nv, [0] * nv, [0] * nv
+    for (u, v) in edges:
+        val[u] += 1
+        val[v] += 1
+        n_out[u] += 1
+        n_in[v] += 1
+    for (_, v) in marks:
+        val[v] += 1
+        n_out[v] += 1
+    if not directed:
+        n_in, n_out = [0] * nv, val
+    return all(profile.admits(weights[v], val[v], n_in[v], n_out[v]) for v in range(nv))
 
 
 # -- contraction moves -------------------------------------------------------

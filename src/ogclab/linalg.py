@@ -9,9 +9,9 @@ pivot columns are the leftmost echelon set whatever the row order, which fixes
 the solutions they return.  Only the row update differs by field: over the
 integers it is fraction-free (cross-multiply, then divide by the row's content
 gcd; Bareiss, Math. Comp. 1968), over Z/p it subtracts a multiple of the pivot
-row scaled by the pivot's inverse.  The consensus mode runs several random
-31-bit primes and escalates to the rational computation unless they agree
-unanimously.
+row scaled by the pivot's inverse.  The consensus mode runs
+``CONSENSUS_PRIMES`` random 31-bit primes and escalates to the rational
+computation unless they agree unanimously.
 
 Matrices store integral entries as ``int``; only a non-integral value, such
 as an entry of a solution from ``solve_columns``, is kept as ``Fraction``.
@@ -22,6 +22,9 @@ import random
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
+
+
+CONSENSUS_PRIMES = 3     # random primes per consensus rank
 
 
 class RankError(RuntimeError):
@@ -74,11 +77,6 @@ class SparseIntMatrix:
         m.entries = dict(self.entries)
         return m
 
-    def transpose(self):
-        m = SparseIntMatrix(self.ncols, self.nrows)
-        m.entries = {(j, i): v for (i, j), v in self.entries.items()}
-        return m
-
     def rows(self):
         out = {}
         for (i, j), v in self.entries.items():
@@ -116,15 +114,16 @@ class SparseIntMatrix:
 
     # -- ranks --------------------------------------------------------------
 
-    def rank(self, strategy="consensus", seed=0, primes=3):
+    def rank(self, strategy="consensus", seed=0):
         """Rank over Q.  ``strategy`` is ``"rational"``, ``("modular", p)``
-        or ``"consensus"`` (unanimous random primes, else escalate)."""
+        or ``"consensus"`` (the ``CONSENSUS_PRIMES`` random primes drawn
+        from ``seed`` unanimous, else escalate)."""
         if strategy == "rational":
             return self._rank_rational()
         if isinstance(strategy, tuple) and strategy[0] == "modular":
             return self._rank_modular(strategy[1])
         if strategy == "consensus":
-            ranks = {self._rank_modular(p) for p in _random_primes(primes, seed)}
+            ranks = {self._rank_modular(p) for p in _random_primes(seed)}
             if len(ranks) == 1:
                 return ranks.pop()
             return self._rank_rational()
@@ -164,9 +163,11 @@ class SparseIntMatrix:
                 rows.append(row)
         return len(_eliminate(rows, False, partial(_modular_update, p)))
 
-    def check_consensus(self, seed=0, primes=3, name="matrix"):
-        """Assert that consensus and rational ranks agree; return the rank."""
-        modular = [self._rank_modular(p) for p in _random_primes(primes, seed)]
+    def check_consensus(self, seed=0, name="matrix"):
+        """Assert that the rank modulo each of the ``CONSENSUS_PRIMES``
+        random primes drawn from ``seed`` equals the rational rank; return
+        the rank."""
+        modular = [self._rank_modular(p) for p in _random_primes(seed)]
         rational = self._rank_rational()
         if any(m != rational for m in modular):
             raise RankError(
@@ -287,10 +288,11 @@ def _gcd_reduce(row):
     return row
 
 
-def _random_primes(count, seed):
+def _random_primes(seed):
+    """``CONSENSUS_PRIMES`` distinct random 31-bit primes drawn from ``seed``."""
     rng = random.Random(seed)
     out = []
-    while len(out) < count:
+    while len(out) < CONSENSUS_PRIMES:
         c = rng.randrange(1 << 30, 1 << 31) | 1
         if _is_prime(c) and c not in out:
             out.append(c)
@@ -335,13 +337,6 @@ def multiply(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
             acc[key] = acc.get(key, 0) + va * vb
     out.entries = {k: v for k, v in acc.items() if v}
     return out
-
-
-def identity(n: int) -> SparseIntMatrix:
-    m = SparseIntMatrix(n, n)
-    for i in range(n):
-        m[i, i] = 1
-    return m
 
 
 def kernel_basis(m: SparseIntMatrix):

@@ -9,8 +9,7 @@ in ``ogclab.canonical`` and ``ogclab.catalogs`` against.
 from __future__ import annotations
 
 from ogclab.canonical import _encoded, _refine, decode_key
-from ogclab.catalogs import _b1_bound
-from ogclab.graphs import Graph, GraphError, is_connected
+from ogclab.graphs import Graph, GraphError, _b1_bound, is_connected
 
 
 def canonicalize(weights, edges, marks, directed):

@@ -14,7 +14,7 @@ import reference_catalogs
 import ogclab.catalogs as catalogs
 from ogclab.graphs import (Graph, GraphError, StabilityProfile, contract_edge,
                            genus, is_acyclic, is_stable)
-from ogclab.canonical import canonical_form, decode_key, encode_key, key_tuples
+from ogclab.canonical import canonical_form, canonicalize, encode_key, key_tuples
 from ogclab.catalogs import (ResourceCapExceeded, _build_catalog, _core_need,
                              _min_hairs, _store, cache_path, connected_cores,
                              generate_marked, generate_or_load, generate_oriented,
@@ -271,7 +271,7 @@ def reference_oriented_catalog(g, n):
                     nv, core, labels(n), profile):
                 found.setdefault(key, gens)
     return _build_catalog("oriented", g, labels(n), profile,
-                          ((key, decode_key(key), found[key]) for key in sorted(found)))
+                          ((key, key_tuples(key), found[key]) for key in sorted(found)))
 
 
 @pytest.mark.parametrize("g, n", CRIT2_PAIRS + [(0, 3), (0, 4), (0, 5)])
@@ -311,7 +311,10 @@ def test_generation_counts_at_one_four(monkeypatch):
 
 @pytest.mark.parametrize("flavor", ["marked", "oriented"])
 def test_each_key_is_decoded_once(tmp_path, monkeypatch, flavor):
+    # a cell stays the tuples of its key: one decoding per key on generation
+    # and on load, and no Graph built on generation, _store or load_catalog
     decoded = Counter()
+    built = []
 
     def counting(fn):
         def wrapped(key):
@@ -319,6 +322,12 @@ def test_each_key_is_decoded_once(tmp_path, monkeypatch, flavor):
             return fn(key)
         return wrapped
 
+    def counting_init(graph, *args, **kwargs):
+        built.append(args)
+        init(graph, *args, **kwargs)
+
+    init = Graph.__init__
+    monkeypatch.setattr(Graph, "__init__", counting_init)
     monkeypatch.setattr(catalogs, "decode_key", counting(catalogs.decode_key))
     monkeypatch.setattr(catalogs, "key_tuples", counting(catalogs.key_tuples))
     gen = generate_marked if flavor == "marked" else generate_oriented
@@ -329,6 +338,7 @@ def test_each_key_is_decoded_once(tmp_path, monkeypatch, flavor):
     _store(cat, path)
     decoded.clear()
     back = load_catalog(path)
+    assert built == []
     assert cells(back) == cells(cat)
     assert decoded == Counter(keys)
 
@@ -476,6 +486,28 @@ def add_cell(weights, edges, marks, directed=False):
     return edit_keys(lambda keys: keys + [key])
 
 
+def edit_byte(offset):
+    """A corruption that sets the byte at ``offset`` past the edges (or,
+    with ``offset`` negative, into them) of the last key to its vertex
+    count, a vertex that does not exist."""
+    def edit(keys):
+        key = bytearray.fromhex(keys[-1])
+        key[4 + key[1] + 2 * key[2] + offset] = key[1]
+        return keys[:-1] + [key.hex()]
+    return edit_keys(edit)
+
+
+def duplicate_labels(text):
+    """Label 2 renamed 1 in the labels and in every key, each key made
+    canonical again, so only the repeated label is wrong."""
+    doc = json.loads(text)
+    keys = set()
+    for key in doc["keys"]:
+        w, es, ms, directed = key_tuples(bytes.fromhex(key))
+        keys.add(canonicalize(w, es, [(1, v) for (_, v) in ms], directed)[0].hex())
+    return json.dumps({**doc, "labels": [1, 1], "keys": sorted(keys)})
+
+
 def relabel_last(keys):
     """Replace the last key by the same graph with its vertices reversed,
     which is not canonical."""
@@ -504,6 +536,9 @@ CORRUPTIONS = {
     "weighted-cell": ("marked", add_cell([1, 0], [(0, 1), (0, 1)], [(1, 1), (2, 1)])),
     "directed-cycle": ("oriented", add_cell([0, 0], [(0, 1), (1, 0)], [(1, 0), (2, 1)],
                                             directed=True)),
+    "edge-end-out-of-range": ("marked", edit_byte(-1)),
+    "marking-on-missing-vertex": ("marked", edit_byte(1)),
+    "duplicate-labels": ("oriented", duplicate_labels),
 }
 
 

@@ -14,8 +14,8 @@ from ogclab.complexes import (ComplexError, _admissible_contractions,
                               _check_d_squared, _edge_order_sign, _reaches,
                               _vertex_order_sign, betti, betti_shift_matches,
                               build_marked_complex, build_oriented_complex,
-                              build_oriented_complexes, cell_degree_from_hc,
-                              euler_characteristic, hc_degree)
+                              build_oriented_complexes,
+                              euler_characteristic)
 from ogclab.graphs import contract_edge, is_acyclic, is_stable
 
 
@@ -84,6 +84,10 @@ def test_cross_flavor_betti_shift():
     for (g, n) in SMALL:
         mx, ox = pair(g, n)
         assert betti_shift_matches(betti(mx), betti(ox)), (g, n)
+    # the parity is the flavour's: hc = cell - g + n marked, cell + n oriented
+    mx, ox = pair(1, 2)
+    assert [r["hc_degree"] for r in betti(mx).rows()] == [2, 3]
+    assert [r["hc_degree"] for r in betti(ox).rows()] == [4, 5, 6]
 
 
 def test_marked_one_three_has_one_class():
@@ -100,15 +104,6 @@ def test_euler_consistency():
             assert chi_dim == chi_betti
 
 
-def test_degree_conversion_round_trip():
-    for d_parity in (0, 1):
-        for g in range(0, 4):
-            for n in range(1, 5):
-                for cell in range(0, 10):
-                    hc = hc_degree(cell, g, n, d_parity)
-                    assert cell_degree_from_hc(hc, g, n, d_parity) == cell
-
-
 def test_betti_invariant_under_label_renaming():
     a = betti(build_marked_complex(generate_marked(1, (1, 2, 3)))).betti
     b = betti(build_marked_complex(generate_marked(1, (4, 7, 9)))).betti
@@ -122,21 +117,6 @@ def test_flavor_mismatch_rejected():
     oc = generate_oriented(1, [1])
     with pytest.raises(ComplexError):
         build_marked_complex(oc)
-
-
-def test_parity_validation():
-    mc = generate_marked(1, [1])
-    with pytest.raises(ComplexError):
-        build_marked_complex(mc, d_parity=1)
-    oc = generate_oriented(1, [1])
-    with pytest.raises(ComplexError):
-        build_oriented_complex(oc, d_parity=2)
-
-
-def test_splitting_matrix_is_transpose():
-    _, ox = pair(1, 2)
-    for k in ox.degrees():
-        assert ox.splitting_matrix(k) == ox.differential(k).transpose()
 
 
 def test_frozen_variant_same_ranks():
