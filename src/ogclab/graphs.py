@@ -91,24 +91,7 @@ class Graph:
         kind = "DirGraph" if self.directed else "Graph"
         return f"{kind}(w={list(self.weights)}, edges={list(self.edges)}, marks={list(self.marks)})"
 
-    # -- degree bookkeeping -------------------------------------------------
-
-    def degree_data(self):
-        """Per-vertex ``(valence, in_edges, out_edges, hairs)``; hairs count
-        into valence and into the outgoing side."""
-        n = self.n_vertices
-        deg = [0] * n
-        ind = [0] * n
-        out = [0] * n
-        hair = [0] * n
-        for (u, v) in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-            out[u] += 1
-            ind[v] += 1
-        for (_, v) in self.marks:
-            hair[v] += 1
-        return deg, ind, out, hair
+    # -- edge queries -----------------------------------------------------
 
     def parallel_count(self, e):
         """Number of partner edges sharing both endpoints of edge ``e``,

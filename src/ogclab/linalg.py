@@ -13,12 +13,20 @@ row scaled by the pivot's inverse.  The consensus mode runs
 ``CONSENSUS_PRIMES`` random 31-bit primes and escalates to the rational
 computation unless they agree unanimously.
 
-Matrices store integral entries as ``int``; only a non-integral value, such
-as an entry of a solution from ``solve_columns``, is kept as ``Fraction``.
+A matrix is stored by column: ``cols[j]`` is one tuple of column ``j``'s
+nonzero rows and values, rows ascending, so an entry costs two tuple slots
+instead of a dict item and a key tuple.  ``entries`` is a read-only
+``(row, col) -> value`` mapping over the same tuples.  ``multiply`` builds
+the product one output column at a time, as ``a`` applied to a column of
+``b``, so the d^2 = 0 check holds one column's sums at a time.  The row
+dicts that elimination needs are built per rank from ``rows()``.  Integral
+entries are stored as ``int``; only a non-integral value, such as an entry
+of a solution from ``solve_columns``, is kept as ``Fraction``.
 """
 from __future__ import annotations
 
 import random
+from collections.abc import ItemsView, Mapping
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
@@ -32,61 +40,79 @@ class RankError(RuntimeError):
 
 
 class SparseIntMatrix:
-    """Sparse exact matrix.  Entries are keyed by ``(row, col)``, stored as
-    ``int`` when integral and as ``Fraction`` otherwise; zero entries are
-    never stored."""
+    """Sparse exact matrix stored by column: ``cols[j]`` is the tuple
+    ``(row, value, row, value, ...)`` of column ``j``'s nonzero entries in
+    ascending row order.  Values are ``int`` when integral and ``Fraction``
+    otherwise; zero entries are never stored.  ``entries`` is a read-only
+    ``(row, col) -> value`` view of the same entries."""
 
-    __slots__ = ("nrows", "ncols", "entries")
+    __slots__ = ("nrows", "ncols", "cols")
 
     def __init__(self, nrows: int, ncols: int, entries=None):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
-        self.entries = {}
+        self.cols = [()] * self.ncols
         if entries:
-            for (i, j), v in (entries.items() if isinstance(entries, dict) else entries):
+            for (i, j), v in (entries.items() if isinstance(entries, Mapping) else entries):
                 self[i, j] = v
 
     def __setitem__(self, pos, value):
         (i, j) = pos
+        self._write(i, j, value, False)
+
+    def __getitem__(self, pos):
+        (i, j) = pos
+        if not 0 <= j < self.ncols:
+            return 0
+        col = self.cols[j]
+        k = _find(col, i)
+        return col[k + 1] if k < len(col) and col[k] == i else 0
+
+    def add(self, i, j, value):
+        self._write(i, j, value, True)
+
+    def _write(self, i, j, value, add):
+        """Set entry ``(i, j)`` to ``value``, or add ``value`` to it, by
+        rebuilding the tuple of column ``j``."""
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError(f"entry {pos} outside {self.nrows}x{self.ncols}")
+            raise IndexError(f"entry {(i, j)} outside {self.nrows}x{self.ncols}")
+        col = self.cols[j]
+        k = _find(col, i)
+        end = k + 2 if k < len(col) and col[k] == i else k
+        if add and end > k:
+            value += col[k + 1]
         if type(value) is not int:
             value = Fraction(value)
             if value.denominator == 1:
                 value = value.numerator
-        if value:
-            self.entries[(i, j)] = value
-        else:
-            self.entries.pop((i, j), None)
+        self.cols[j] = col[:k] + (i, value) + col[end:] if value else col[:k] + col[end:]
 
-    def __getitem__(self, pos):
-        return self.entries.get(pos, 0)
-
-    def add(self, i, j, value):
-        self[i, j] = self[(i, j)] + value
+    @property
+    def entries(self):
+        return _Entries(self)
 
     @property
     def nnz(self):
-        return len(self.entries)
+        return sum(map(len, self.cols)) // 2
 
     def is_zero(self):
-        return not self.entries
+        return not any(self.cols)
 
     def copy(self):
-        m = SparseIntMatrix(self.nrows, self.ncols)
-        m.entries = dict(self.entries)
-        return m
+        return _with_cols(self.nrows, self.ncols, list(self.cols))
 
     def rows(self):
+        """``{row: {col: value}}`` over the nonzero rows, both ascending."""
         out = {}
-        for (i, j), v in self.entries.items():
-            out.setdefault(i, {})[j] = v
-        return out
+        for j, col in enumerate(self.cols):
+            for i, v in _pairs(col):
+                out.setdefault(i, {})[j] = v
+        return {i: out[i] for i in sorted(out)}
 
     def __eq__(self, other):
         return (isinstance(other, SparseIntMatrix)
                 and self.nrows == other.nrows and self.ncols == other.ncols
-                and self.entries == other.entries)
+                and self.cols == other.cols)
 
     def __repr__(self):
         return f"SparseIntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
@@ -99,15 +125,18 @@ class SparseIntMatrix:
     def __add__(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        m = self.copy()
-        for (i, j), v in other.entries.items():
-            m.add(i, j, v)
-        return m
+        cols = []
+        for a, b in zip(self.cols, other.cols):
+            acc = dict(_pairs(a))
+            for i, v in _pairs(b):
+                acc[i] = acc.get(i, 0) + v
+            cols.append(_pack(acc))
+        return _with_cols(self.nrows, self.ncols, cols)
 
     def __neg__(self):
-        m = SparseIntMatrix(self.nrows, self.ncols)
-        m.entries = {k: -v for k, v in self.entries.items()}
-        return m
+        return _with_cols(self.nrows, self.ncols,
+                          [tuple(x for i, v in _pairs(c) for x in (i, -v))
+                           for c in self.cols])
 
     def __sub__(self, other):
         return self + (-other)
@@ -173,6 +202,81 @@ class SparseIntMatrix:
             raise RankError(
                 f"{name}: modular ranks {modular} disagree with rational {rational}")
         return rational
+
+
+class _Entries(Mapping):
+    """Read-only ``(row, col) -> value`` view of a ``SparseIntMatrix``,
+    iterated column by column."""
+
+    __slots__ = ("_m",)
+
+    def __init__(self, m):
+        self._m = m
+
+    def __getitem__(self, pos):
+        value = self._m[pos]
+        if not value:
+            raise KeyError(pos)
+        return value
+
+    def __iter__(self):
+        for j, col in enumerate(self._m.cols):
+            for i in col[::2]:
+                yield (i, j)
+
+    def __len__(self):
+        return self._m.nnz
+
+    def items(self):
+        return _EntryItems(self)
+
+
+class _EntryItems(ItemsView):
+    """Items of an ``_Entries`` view, read straight off the column tuples."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        for j, col in enumerate(self._mapping._m.cols):
+            for i, v in _pairs(col):
+                yield (i, j), v
+
+
+def _with_cols(nrows, ncols, cols):
+    m = SparseIntMatrix(nrows, ncols)
+    m.cols = cols
+    return m
+
+
+def _pairs(col):
+    """The ``(row, value)`` pairs of a column tuple."""
+    it = iter(col)
+    return zip(it, it)
+
+
+def _find(col, i):
+    """Position in the column tuple ``col`` of row ``i``, or of the first
+    larger row.  A plain loop: ``bisect`` with a key over the even positions
+    costs more on the short columns of the differentials."""
+    lo, hi = 0, len(col) // 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if col[2 * mid] < i:
+            lo = mid + 1
+        else:
+            hi = mid
+    return 2 * lo
+
+
+def _pack(acc):
+    """Column tuple of the nonzero values in ``{row: value}``, integral
+    ones as ``int``."""
+    col = []
+    for i in sorted(acc):
+        v = acc[i]
+        if v:
+            col += (i, v if type(v) is int or v.denominator != 1 else v.numerator)
+    return tuple(col)
 
 
 def _eliminate(rows, leftmost, update):
@@ -326,17 +430,14 @@ def _is_prime(n):
 def multiply(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
     if a.ncols != b.nrows:
         raise ValueError(f"inner dimensions disagree: {a.ncols} vs {b.nrows}")
-    by_row = {}
-    for (j, k), v in b.entries.items():
-        by_row.setdefault(j, []).append((k, v))
-    out = SparseIntMatrix(a.nrows, b.ncols)
-    acc = {}
-    for (i, j), va in a.entries.items():
-        for (k, vb) in by_row.get(j, ()):
-            key = (i, k)
-            acc[key] = acc.get(key, 0) + va * vb
-    out.entries = {k: v for k, v in acc.items() if v}
-    return out
+    cols = []
+    for col in b.cols:
+        acc = {}
+        for j, vb in _pairs(col):
+            for i, va in _pairs(a.cols[j]):
+                acc[i] = acc.get(i, 0) + va * vb
+        cols.append(_pack(acc))
+    return _with_cols(a.nrows, b.ncols, cols)
 
 
 def kernel_basis(m: SparseIntMatrix):
@@ -369,34 +470,33 @@ def solve_columns(D: SparseIntMatrix, C: SparseIntMatrix):
     the solution supported on the pivot columns of ``D``."""
     if D.nrows != C.nrows:
         raise ValueError("row counts disagree")
-    aug = SparseIntMatrix(D.nrows, D.ncols + C.ncols, D.entries)
-    aug.entries.update(((i, D.ncols + c), v) for (i, c), v in C.entries.items())
+    aug = _with_cols(D.nrows, D.ncols + C.ncols, D.cols + C.cols)
     rows = aug._int_rows()
     pivots = _eliminate(rows, True, _fraction_free_update)
     if any(pj >= D.ncols for pj, _ in pivots):
         return None
-    X = SparseIntMatrix(D.ncols, C.ncols)
+    xcols = [{} for _ in range(C.ncols)]
     for pj, ri in pivots:
         row = rows[ri]
         for j, v in row.items():
             if j >= D.ncols:
-                X[pj, j - D.ncols] = Fraction(v, row[pj])
-    return X
+                xcols[j - D.ncols][pj] = Fraction(v, row[pj])
+    return _with_cols(D.ncols, C.ncols, [_pack(c) for c in xcols])
 
 
 # -- MatrixMarket coordinate io -------------------------------------------------
 
 def write_matrix_market(m: SparseIntMatrix, path: str, comment: str = "") -> None:
-    for v in m.entries.values():
-        if v.denominator != 1:
-            raise ValueError("MatrixMarket integer export needs integer entries")
+    entries = sorted(m.entries.items())
+    if any(type(v) is not int for _, v in entries):
+        raise ValueError("MatrixMarket integer export needs integer entries")
     with open(path, "w") as fh:
         fh.write("%%MatrixMarket matrix coordinate integer general\n")
         if comment:
             fh.write(f"%{comment}\n")
-        fh.write(f"{m.nrows} {m.ncols} {m.nnz}\n")
-        for (i, j) in sorted(m.entries):
-            fh.write(f"{i + 1} {j + 1} {int(m.entries[(i, j)])}\n")
+        fh.write(f"{m.nrows} {m.ncols} {len(entries)}\n")
+        for (i, j), v in entries:
+            fh.write(f"{i + 1} {j + 1} {v}\n")
 
 
 def read_matrix_market(path: str) -> SparseIntMatrix:
@@ -424,4 +524,7 @@ def read_matrix_market(path: str) -> SparseIntMatrix:
             if v == 0 or m[i - 1, j - 1]:
                 raise ValueError(f"{path}: entry ({i}, {j}) is zero or repeated")
             m[i - 1, j - 1] = v
+        if fh.read().strip():
+            raise ValueError(f"{path}: the file has more entries than the {nnz} "
+                             "it declares")
     return m

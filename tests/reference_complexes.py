@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from ogclab.canonical import perm_parity
 from ogclab.graphs import Graph, StabilityProfile, contract_edge, is_acyclic, is_stable
+from oracle import degree_data
 
 
 def edge_order_sign(g: Graph, e: int, cf) -> int:
@@ -35,7 +36,7 @@ def admissible_contractions(g: Graph, profile: StabilityProfile):
     acyclic.  ``subdivider`` flags an edge leaving a bivalent unmarked
     double-outgoing source, which the frozen variant leaves uncontracted."""
     if g.directed:
-        deg, ind, out, hair = g.degree_data()
+        deg, ind, out, hair = degree_data(g.n_vertices, g.edges, g.marks)
     for i, (a, b) in enumerate(g.edges):
         if a == b or g.parallel_count(i) > 0:
             continue

@@ -10,6 +10,10 @@ only to check the Markowitz version against.
 package ran before both moved onto the same loop: rows in input order, each
 pivot normalised to one at the smallest live column, then a full
 back-substitution.  They are kept to check the integer versions against.
+
+``DictMatrix`` is the ``(row, col) -> value`` dict storage ``SparseIntMatrix``
+had before it moved to column tuples, with the same setter, ``add`` and
+arithmetic; it is kept to check the column storage against.
 """
 from __future__ import annotations
 
@@ -162,3 +166,50 @@ def solve_columns(D: SparseIntMatrix, C: SparseIntMatrix):
             if t == 1 and v:
                 X[j, c] = v
     return X
+
+
+class DictMatrix:
+    def __init__(self, nrows, ncols):
+        self.nrows, self.ncols = nrows, ncols
+        self.entries = {}
+
+    def __setitem__(self, pos, value):
+        (i, j) = pos
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise IndexError(f"entry {pos} outside {self.nrows}x{self.ncols}")
+        value = Fraction(value)
+        if value.denominator == 1:
+            value = value.numerator
+        if value:
+            self.entries[(i, j)] = value
+        else:
+            self.entries.pop((i, j), None)
+
+    def __getitem__(self, pos):
+        return self.entries.get(pos, 0)
+
+    def add(self, i, j, value):
+        self[i, j] = self[i, j] + value
+
+    def __add__(self, other):
+        out = DictMatrix(self.nrows, self.ncols)
+        out.entries = dict(self.entries)
+        for (i, j), v in other.entries.items():
+            out.add(i, j, v)
+        return out
+
+    def __neg__(self):
+        out = DictMatrix(self.nrows, self.ncols)
+        out.entries = {k: -v for k, v in self.entries.items()}
+        return out
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = DictMatrix(self.nrows, other.ncols)
+        for (i, j), va in self.entries.items():
+            for (jj, k), vb in other.entries.items():
+                if jj == j:
+                    out.add(i, k, va * vb)
+        return out

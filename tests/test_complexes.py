@@ -1,5 +1,7 @@
 """Complex assembly: d^2 = 0, Betti tables, Euler, grading dictionary."""
+import gc
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -149,6 +151,23 @@ def test_assembled_differentials_hold_ints():
         for cx in (mx, ox):
             for m in cx.diffs.values():
                 assert all(type(v) is int for v in m.entries.values())
+
+
+def test_stored_differentials_stay_compact():
+    # oriented (1,3) retains about 54 B per stored entry as column tuples
+    # and 114 B as the (row, col) -> value dict they replaced
+    oc = generate_oriented(1, labels(3))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cxs = build_oriented_complexes(oc)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    nnz = sum(m.nnz for cx in cxs for m in cx.diffs.values())
+    assert retained / nnz < 85
 
 
 def test_frozen_failures_name_the_variant():

@@ -173,6 +173,76 @@ def test_integral_entries_are_stored_as_int():
     assert type(m[0, 1]) is int and m[0, 1] == 1
 
 
+VALUES = [-3, -1, 0, 1, 2, 5, Fraction(6, 3), Fraction(-4, 2), Fraction(1, 2),
+          Fraction(-2, 3)]
+
+
+def random_pair(rng, nrows, ncols, writes):
+    """A random matrix and its dict-keyed reference, written alike."""
+    m = SparseIntMatrix(nrows, ncols)
+    ref = reference_linalg.DictMatrix(nrows, ncols)
+    for _ in range(writes):
+        i, j, v = rng.randrange(nrows), rng.randrange(ncols), rng.choice(VALUES)
+        m[i, j] = ref[i, j] = v
+    return m, ref
+
+
+def test_column_storage_matches_dict_reference():
+    # random writes and adds against the dict storage the matrices had:
+    # zeros and cancelling adds delete entries, integral fractions are
+    # stored as int, and the kernel columns of ``p`` make products cancel
+    rng = random.Random(20261019)
+    deleted = outside = cancelled = 0
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        m, ref = random_pair(rng, nrows, ncols, 0)
+        for _ in range(rng.randint(0, 3 * nrows * ncols)):
+            i, j = rng.randint(-1, nrows), rng.randint(-1, ncols)
+            op = rng.choice(("set", "add", "cancel"))
+            v = -m[i, j] if op == "cancel" else rng.choice(VALUES)
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                with pytest.raises(IndexError):
+                    m.add(i, j, v)
+                with pytest.raises(IndexError):
+                    m[i, j] = v
+                outside += 1
+                continue
+            had = (i, j) in m.entries
+            for x in (m, ref):
+                if op == "set":
+                    x[i, j] = v
+                else:
+                    x.add(i, j, v)
+            deleted += had and (i, j) not in m.entries
+            assert m.entries == ref.entries
+        assert len(m.entries) == m.nnz == len(ref.entries)
+        assert all(type(v) is int or v.denominator != 1 for v in m.entries.values())
+        assert all(list(c[::2]) == sorted(c[::2]) for c in m.cols)
+        assert list(m.rows()) == sorted({i for i, _ in ref.entries})
+        with pytest.raises(TypeError):
+            m.entries[0, 0] = 1
+        c = m.copy()
+        c.add(0, 0, 1)
+        assert m.entries == ref.entries and c[0, 0] == m[0, 0] + 1
+
+        b, rb = random_pair(rng, nrows, ncols, nrows * ncols)
+        assert (m + b).entries == (ref + rb).entries
+        assert (m - b).entries == (ref - rb).entries
+        assert (-m).entries == (-ref).entries
+        p, rp = random_pair(rng, ncols, 2, ncols)
+        kernel = kernel_basis(m)
+        p = SparseIntMatrix(ncols, 2 + len(kernel), p.entries)
+        rp.ncols = p.ncols
+        for k, vec in enumerate(kernel, 2):
+            for j, v in vec.items():
+                p[j, k] = rp[j, k] = v
+        prod = multiply(m, p)
+        assert prod.entries == (ref * rp).entries
+        assert all(type(v) is int or v.denominator != 1 for v in prod.entries.values())
+        cancelled += sum(1 for k in range(2, p.ncols) if not prod.cols[k])
+    assert deleted > 50 and outside > 500 and cancelled > 100
+
+
 def test_check_consensus_passes():
     m = from_rows([[1, 1, 0], [0, 1, 1]])
     assert m.check_consensus(seed=0) == 2
@@ -261,6 +331,8 @@ def test_matrix_market_round_trip(tmp_path):
     pytest.param("", "size line ''", id="header-only"),
     pytest.param("2 x 1\n1 1 5\n", "size line '2 x 1'", id="size-not-int"),
     pytest.param("2 2 2\n1 1 5\n2 2 y\n", "entry 2 of 2", id="entry-not-int"),
+    pytest.param("2 2 1\n1 1 3\n2 2 5\n", "the file has more entries than the 1 it",
+                 id="trailing-entry"),
 ])
 def test_matrix_market_short_file_names_path(tmp_path, body, message):
     path = tmp_path / "short.mtx"

@@ -3,6 +3,7 @@ and the induced isomorphism on cohomology."""
 import pytest
 
 import reference_linalg
+from oracle import degree_data
 from ogclab.graphs import (Graph, GraphError, StabilityProfile, contract_edge,
                            genus, is_acyclic, is_stable)
 from ogclab.canonical import canonical_form
@@ -47,7 +48,7 @@ def test_edge_between_two_marked_vertices_subdivides():
     fo = forest_orient(g, ())
     r = fo.graph
     assert r.n_vertices == 3
-    deg, ind, out, hair = r.degree_data()
+    deg, ind, out, hair = degree_data(r.n_vertices, r.edges, r.marks)
     assert out[2] == 2 and ind[2] == 0     # fresh double-outgoing source
     assert fo.cell_map == (2,)
 
