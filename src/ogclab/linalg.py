@@ -9,9 +9,13 @@ pivot columns are the leftmost echelon set whatever the row order, which fixes
 the solutions they return.  Only the row update differs by field: over the
 integers it is fraction-free (cross-multiply, then divide by the row's content
 gcd; Bareiss, Math. Comp. 1968), over Z/p it subtracts a multiple of the pivot
-row scaled by the pivot's inverse.  The consensus mode runs
-``CONSENSUS_PRIMES`` random 31-bit primes and escalates to the rational
-computation unless they agree unanimously.
+row scaled by the pivot's inverse.  The consensus mode takes
+``CONSENSUS_PRIMES`` random 31-bit primes and eliminates them jointly, in
+one run of the loop modulo their product, each pivot a unit modulo every
+prime; a pivot or a denominator that shares a factor with the product falls
+back to one elimination per prime.  ``rank`` escalates to the rational
+computation unless the modular ranks agree unanimously, and
+``check_consensus`` asserts that each equals the rational rank.
 
 A matrix is stored by column: ``cols[j]`` is one tuple of column ``j``'s
 nonzero rows and values, rows ascending, so an entry costs two tuple slots
@@ -19,7 +23,8 @@ instead of a dict item and a key tuple.  ``entries`` is a read-only
 ``(row, col) -> value`` mapping over the same tuples.  ``multiply`` builds
 the product one output column at a time, as ``a`` applied to a column of
 ``b``, so the d^2 = 0 check holds one column's sums at a time.  The row
-dicts that elimination needs are built per rank from ``rows()``.  Integral
+dicts that elimination needs are built once per rank call from ``rows()``;
+the modular and rational ranks of a consensus check share them.  Integral
 entries are stored as ``int``; only a non-integral value, such as an entry
 of a solution from ``solve_columns``, is kept as ``Fraction``.
 """
@@ -29,7 +34,7 @@ import random
 from collections.abc import ItemsView, Mapping
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 
 CONSENSUS_PRIMES = 3     # random primes per consensus rank
@@ -147,57 +152,25 @@ class SparseIntMatrix:
         """Rank over Q.  ``strategy`` is ``"rational"``, ``("modular", p)``
         or ``"consensus"`` (the ``CONSENSUS_PRIMES`` random primes drawn
         from ``seed`` unanimous, else escalate)."""
+        rows = list(self.rows().values())
         if strategy == "rational":
-            return self._rank_rational()
+            return _rank_rational(rows)
         if isinstance(strategy, tuple) and strategy[0] == "modular":
-            return self._rank_modular(strategy[1])
+            return _rank_modular(rows, strategy[1])
         if strategy == "consensus":
-            ranks = {self._rank_modular(p) for p in _random_primes(seed)}
-            if len(ranks) == 1:
-                return ranks.pop()
-            return self._rank_rational()
+            ranks = set(_consensus_ranks(rows, _random_primes(seed)))
+            return ranks.pop() if len(ranks) == 1 else _rank_rational(rows)
         raise ValueError(f"unknown rank strategy: {strategy}")
-
-    def _int_rows(self):
-        rows = []
-        for r in self.rows().values():
-            den = 1
-            for v in r.values():
-                den = den * v.denominator // gcd(den, v.denominator)
-            rows.append({j: int(v * den) for j, v in r.items()})
-        return rows
-
-    def _rank_rational(self):
-        """Exact integer elimination: the Markowitz loop with fraction-free
-        row updates, each updated row renormalised by its content gcd."""
-        return len(_eliminate([_gcd_reduce(r) for r in self._int_rows()],
-                              False, _fraction_free_update))
-
-    def _rank_modular(self, p):
-        """Rank over Z/p: the Markowitz loop with the pivot row scaled by
-        its inverse.  At most the rational rank."""
-        if not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        rows = []
-        for r in self.rows().values():
-            row = {}
-            for j, v in r.items():
-                den = v.denominator % p
-                if den == 0:
-                    raise RankError(f"prime {p} divides a denominator")
-                val = v.numerator * pow(den, -1, p) % p
-                if val:
-                    row[j] = val
-            if row:
-                rows.append(row)
-        return len(_eliminate(rows, False, partial(_modular_update, p)))
 
     def check_consensus(self, seed=0, name="matrix"):
         """Assert that the rank modulo each of the ``CONSENSUS_PRIMES``
         random primes drawn from ``seed`` equals the rational rank; return
-        the rank."""
-        modular = [self._rank_modular(p) for p in _random_primes(seed)]
-        rational = self._rank_rational()
+        the rank.  The primes are eliminated jointly modulo their product,
+        with a per-prime fallback (``_consensus_ranks``), from the same row
+        dicts as the rational rank."""
+        rows = list(self.rows().values())
+        modular = _consensus_ranks(rows, _random_primes(seed))
+        rational = _rank_rational(rows)
         if any(m != rational for m in modular):
             raise RankError(
                 f"{name}: modular ranks {modular} disagree with rational {rational}")
@@ -289,12 +262,16 @@ def _eliminate(rows, leftmost, update):
     fill low; a finished pivot row is dropped.  With ``leftmost`` true, the
     leftmost column that a live row holds, in its shortest holder; finished
     pivot rows stay in ``rows`` and every later pivot clears its column from
-    them too, so they end fully reduced.
+    them too, so they end fully reduced.  With ``leftmost`` false, ``rows``
+    is emptied at the start, so that a row replaced by its update, or
+    dropped as a pivot, is freed at once.
 
     ``update(piv_row, pj)`` returns the row operation clearing column ``pj``
     with that pivot; it maps a row to its reduced copy, without column
     ``pj`` and with no zero entries."""
     live = dict(enumerate(rows))
+    if not leftmost:
+        rows.clear()
     col_rows = {}
     by_len = {}
     for ri, r in live.items():
@@ -364,7 +341,8 @@ def _fraction_free_update(piv_row, pj):
 
 
 def _modular_update(p, piv_row, pj):
-    """Over Z/p: ``row - row[pj] * piv_row / piv``."""
+    """Over Z/p, ``p`` prime or, for the joint consensus ranks, a product
+    of primes with ``piv`` a unit: ``row - row[pj] * piv_row / piv``."""
     inv = pow(piv_row[pj], -1, p)
     rest = [(j, v * inv % p) for j, v in piv_row.items() if j != pj]
 
@@ -390,6 +368,86 @@ def _gcd_reduce(row):
     if g > 1:
         return {j: v // g for j, v in row.items()}
     return row
+
+
+def _int_rows(rows):
+    """The row dicts scaled to integers, each by its denominators' lcm."""
+    out = []
+    for r in rows:
+        den = 1
+        for v in r.values():
+            den = den * v.denominator // gcd(den, v.denominator)
+        out.append({j: int(v * den) for j, v in r.items()})
+    return out
+
+
+def _rank_rational(rows):
+    """Exact integer elimination of the row dicts: the Markowitz loop with
+    fraction-free row updates, each updated row renormalised by its content
+    gcd."""
+    return len(_eliminate([_gcd_reduce(r) for r in _int_rows(rows)],
+                          False, _fraction_free_update))
+
+
+def _rows_mod(rows, m):
+    """The row dicts reduced modulo ``m``, zero rows dropped, or ``None``
+    when a denominator is not invertible modulo ``m``."""
+    out = []
+    for r in rows:
+        row = {}
+        for j, v in r.items():
+            if type(v) is not int:
+                if gcd(v.denominator, m) != 1:
+                    return None
+                v = v.numerator * pow(v.denominator, -1, m)
+            v %= m
+            if v:
+                row[j] = v
+        if row:
+            out.append(row)
+    return out
+
+
+def _rank_modular(rows, p):
+    """Rank of the row dicts over Z/p: the Markowitz loop with the pivot
+    row scaled by its inverse.  At most the rational rank.  The consensus
+    ranks eliminate their primes jointly modulo the product
+    (``_consensus_ranks``) and fall back to this rank, prime by prime."""
+    if not _is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    reduced = _rows_mod(rows, p)
+    if reduced is None:
+        raise RankError(f"prime {p} divides a denominator")
+    return len(_eliminate(reduced, False, partial(_modular_update, p)))
+
+
+class _NonUnitPivot(Exception):
+    """A joint pivot shares a factor with the product of the primes."""
+
+
+def _consensus_ranks(rows, primes):
+    """The rank of the row dicts modulo each of ``primes``, from one run of
+    the Markowitz loop over Z/M, M the product of the primes.
+
+    Each pivot must be a unit modulo M, so it is nonzero modulo every
+    prime, and each step reduces to a valid elimination step over each
+    Z/p.  A row that empties modulo M is zero modulo every prime; a live
+    row that is zero modulo some prime would be picked with a non-unit
+    pivot.  So when every pivot is a unit, the pivot count is each prime's
+    rank.  When a pivot or a denominator shares a factor with M, every
+    prime is eliminated on its own with ``_rank_modular``."""
+    m = prod(primes)
+    reduced = _rows_mod(rows, m)
+    if reduced is not None:
+        def update(piv_row, pj):
+            if gcd(piv_row[pj], m) != 1:
+                raise _NonUnitPivot
+            return _modular_update(m, piv_row, pj)
+        try:
+            return [len(_eliminate(reduced, False, update))] * len(primes)
+        except _NonUnitPivot:
+            pass
+    return [_rank_modular(rows, p) for p in primes]
 
 
 def _random_primes(seed):
@@ -444,7 +502,7 @@ def kernel_basis(m: SparseIntMatrix):
     """Integer basis vectors (dicts col->value) spanning ker(m) over Q: one
     per free column of the fully reduced rows, primitive and positive
     there."""
-    rows = m._int_rows()
+    rows = _int_rows(m.rows().values())
     pivots = _eliminate(rows, True, _fraction_free_update)
     holders = {}
     for pj, ri in pivots:
@@ -471,7 +529,7 @@ def solve_columns(D: SparseIntMatrix, C: SparseIntMatrix):
     if D.nrows != C.nrows:
         raise ValueError("row counts disagree")
     aug = _with_cols(D.nrows, D.ncols + C.ncols, D.cols + C.cols)
-    rows = aug._int_rows()
+    rows = _int_rows(aug.rows().values())
     pivots = _eliminate(rows, True, _fraction_free_update)
     if any(pj >= D.ncols for pj, _ in pivots):
         return None

@@ -1,6 +1,6 @@
 """References for the shared elimination loop in ``ogclab.linalg``.
 
-``rank_modular`` is the elimination ``SparseIntMatrix._rank_modular`` ran
+``rank_modular`` is the elimination the per-prime ``linalg._rank_modular`` ran
 before it moved onto the shared Markowitz loop: rows are reduced in input
 order, each against the pivots found so far, always at its smallest live
 column, with no fill control.  It is slow on large differentials and kept

@@ -10,6 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 import reference_linalg
 
+from ogclab import linalg
 from ogclab.linalg import (RankError, SparseIntMatrix, kernel_basis,
                            multiply, read_matrix_market, solve_columns,
                            write_matrix_market)
@@ -72,10 +73,18 @@ def test_rank_modular_le_rational():
     assert m.rank("rational") == 2
 
 
-def test_consensus_detects_bad_small_prime_set():
+def test_consensus_detects_bad_small_prime_set(monkeypatch):
     m = from_rows([[2, 0], [0, 2]])
     # random 31-bit primes never divide 2; consensus agrees with rational
     assert m.rank("consensus", seed=0) == 2
+    assert m.check_consensus(seed=0) == 2
+    # modulo 2 * 3 * 5 the pivot 2 is no unit, so the joint elimination
+    # falls back, and the error lists each prime's own rank
+    monkeypatch.setattr(linalg, "_random_primes", lambda seed: [2, 3, 5])
+    assert m.rank("consensus") == 2
+    with pytest.raises(RankError, match=re.escape(
+            "matrix: modular ranks [0, 2, 2] disagree with rational 2")):
+        m.check_consensus()
 
 
 def random_sparse(rng, with_fractions, nrows=None):
@@ -116,6 +125,36 @@ def test_markowitz_modular_rank_matches_reference():
             assert got <= rational
             below += got < rational
     assert below > 20
+
+
+def test_joint_consensus_ranks_match_per_prime(monkeypatch):
+    # modulo 2 * 3 * 5 many pivots are no units and 3 and 5 divide some
+    # denominators, so both branches run; with 31-bit primes none falls back
+    rng = random.Random(20221029)
+    per_prime = linalg._rank_modular
+    calls = []
+    monkeypatch.setattr(linalg, "_rank_modular",
+                        lambda rows, p: calls.append(p) or per_prime(rows, p))
+    joint = fallback = refused = 0
+    for case in range(300):
+        m = random_sparse(rng, with_fractions=case % 3 == 0)
+        rows = list(m.rows().values())
+        primes = linalg._random_primes(case)
+        calls.clear()
+        assert linalg._consensus_ranks(rows, primes) == [
+            per_prime(rows, p) for p in primes]
+        assert not calls
+        try:
+            expected = [per_prime(rows, p) for p in (2, 3, 5)]
+        except RankError as err:
+            with pytest.raises(RankError, match=f"^{re.escape(str(err))}$"):
+                linalg._consensus_ranks(rows, (2, 3, 5))
+            refused += 1
+            continue
+        assert linalg._consensus_ranks(rows, (2, 3, 5)) == expected
+        fallback += bool(calls)
+        joint += not calls
+    assert joint > 10 and fallback > 100 and refused > 30
 
 
 def test_modular_rank_rejects_composite_modulus():
