@@ -1,21 +1,21 @@
 """Exact sparse linear algebra over the rationals and over prime fields.
 
-Every row reduction runs one Gaussian elimination loop (``_eliminate``).
-Ranks take a Markowitz-style pivot: the shortest live row, at its sparsest
-column, which keeps fill low on sparse differentials (cf. Dumas, Elbaz-Vincent,
-Giorgi & Urbanska, arXiv:0704.2351).  ``solve_columns`` and ``kernel_basis``
-take the leftmost live column and keep the pivot rows fully reduced, so their
-pivot columns are the leftmost echelon set whatever the row order, which fixes
-the solutions they return.  Only the row update differs by field: over the
-integers it is fraction-free (cross-multiply, then divide by the row's content
-gcd; Bareiss, Math. Comp. 1968), over Z/p it subtracts a multiple of the pivot
-row scaled by the pivot's inverse.  The consensus mode takes
-``CONSENSUS_PRIMES`` random 31-bit primes and eliminates them jointly, in
-one run of the loop modulo their product, each pivot a unit modulo every
-prime; a pivot or a denominator that shares a factor with the product falls
-back to one elimination per prime.  ``rank`` escalates to the rational
-computation unless the modular ranks agree unanimously, and
-``check_consensus`` asserts that each equals the rational rank.
+Every rank runs one Gaussian elimination loop (``_eliminate``) with a
+Markowitz-style pivot: the shortest live row, at its sparsest column, which
+keeps fill low on sparse differentials (cf. Dumas, Elbaz-Vincent, Giorgi &
+Urbanska, arXiv:0704.2351).  ``solve_columns`` and ``kernel_basis`` read their
+answers off a plain echelon form (``_echelon``) by back-substitution; its
+leading columns, and so their answers, do not depend on the row order.  Only
+the row update differs by field: over the integers it is fraction-free
+(cross-multiply, then divide by the row's content gcd; Bareiss, Math. Comp.
+1968), over Z/p it subtracts a multiple of the pivot row scaled by the
+pivot's inverse.  The consensus mode takes ``CONSENSUS_PRIMES`` random
+31-bit primes and eliminates them jointly, in one run of the loop modulo
+their product, each pivot a unit modulo every prime; a pivot or a
+denominator that shares a factor with the product falls back to one
+elimination per prime.  ``rank`` escalates to the rational computation
+unless the modular ranks agree unanimously, and ``check_consensus`` asserts
+that each equals the rational rank.
 
 A matrix is stored by column: ``cols[j]`` is one tuple of column ``j``'s
 nonzero rows and values, rows ascending, so an entry costs two tuple slots
@@ -252,74 +252,88 @@ def _pack(acc):
     return tuple(col)
 
 
-def _eliminate(rows, leftmost, update):
+def _eliminate(rows, update):
     """Gaussian elimination on the nonzero sparse ``rows`` (dicts column ->
-    value).  Returns the pivots as ``(column, row index)`` pairs in
-    elimination order; their number is the rank.
+    value); returns the rank.
 
-    Pivot rule: with ``leftmost`` false, the shortest live row (lowest index
-    among equals) at its sparsest column (lowest among equals), which keeps
-    fill low; a finished pivot row is dropped.  With ``leftmost`` true, the
-    leftmost column that a live row holds, in its shortest holder; finished
-    pivot rows stay in ``rows`` and every later pivot clears its column from
-    them too, so they end fully reduced.  With ``leftmost`` false, ``rows``
-    is emptied at the start, so that a row replaced by its update, or
-    dropped as a pivot, is freed at once.
+    Pivot rule: the shortest live row (lowest index among equals) at its
+    sparsest column (lowest among equals), which keeps fill low; a finished
+    pivot row is dropped.  ``rows`` is emptied at the start, so that a row
+    replaced by its update, or dropped as a pivot, is freed at once.
 
     ``update(piv_row, pj)`` returns the row operation clearing column ``pj``
     with that pivot; it maps a row to its reduced copy, without column
     ``pj`` and with no zero entries."""
     live = dict(enumerate(rows))
-    if not leftmost:
-        rows.clear()
+    rows.clear()
     col_rows = {}
     by_len = {}
     for ri, r in live.items():
         by_len.setdefault(len(r), set()).add(ri)
         for j in r:
             col_rows.setdefault(j, set()).add(ri)
-    order = sorted(col_rows)
-    at = 0
-    pivots = []
+    rank = 0
     while live:
-        if leftmost:
-            # live rows only ever hold columns right of the last pivot
-            while not any(ri in live for ri in col_rows[order[at]]):
-                at += 1
-            pj = order[at]
-            pri = min((ri for ri in col_rows[pj] if ri in live),
-                      key=lambda ri: (len(live[ri]), ri))
-        else:
-            length = min(l for l, b in by_len.items() if b)
-            pri = min(by_len[length])
-            pj = min(live[pri], key=lambda j: (len(col_rows[j]), j))
+        length = min(l for l, b in by_len.items() if b)
+        pri = min(by_len[length])
+        pj = min(live[pri], key=lambda j: (len(col_rows[j]), j))
         piv_row = live.pop(pri)
         by_len[len(piv_row)].discard(pri)
-        pivots.append((pj, pri))
-        if leftmost:
-            rows[pri] = piv_row
-            col_rows[pj].discard(pri)
-        else:
-            for j in piv_row:
-                col_rows[j].discard(pri)
+        rank += 1
+        for j in piv_row:
+            col_rows[j].discard(pri)
         eliminate = update(piv_row, pj)
         for ri in sorted(col_rows[pj]):
-            r = live[ri] if ri in live else rows[ri]
+            r = live[ri]
             for j in r:
                 col_rows[j].discard(ri)
             new = eliminate(r)
             for j in new:
                 col_rows[j].add(ri)
-            if ri not in live:
-                rows[ri] = new
-                continue
             by_len[len(r)].discard(ri)
             if new:
                 live[ri] = new
                 by_len.setdefault(len(new), set()).add(ri)
             else:
                 del live[ri]
-    return pivots
+    return rank
+
+
+def _echelon(rows):
+    """Row echelon form ``{leading column: row}`` of primitive integer rows.
+    Shortest rows first, ties by index, each is reduced fraction-free at its
+    leftmost column against the row leading there, until it leads a new
+    column or vanishes; rows above are never cleared.  The order sets only
+    the cost: every echelon form has the same leading columns, the column
+    rank profile (Dumas, Pernet & Sultan, ISSAC 2013)."""
+    lead = {}
+    for row in sorted(rows, key=len):
+        while row:
+            j = min(row)
+            if j not in lead:
+                lead[j] = row
+                break
+            row = _fraction_free_update(lead[j], j)(row)
+    return lead
+
+
+def _back_substitute(lead, x):
+    """Solve the echelon rows ``lead`` for their leading columns, given the
+    values ``x`` (``{column: {key: value}}``, extended in place) of the
+    other columns, from the last leading column down with one division per
+    entry.  Returns ``{key: {column: value}}``, the given columns included."""
+    for p in sorted(lead, reverse=True):
+        row = lead[p]
+        acc = {}
+        for j, v in row.items():
+            for key, xv in x.get(j, {}).items():
+                acc[key] = acc.get(key, 0) + v * xv
+        x[p] = {key: Fraction(-s, row[p]) for key, s in acc.items() if s}
+    out = {}
+    for j, xj in x.items():
+        for key, v in xj.items():
+            out.setdefault(key, {})[j] = v
+    return out
 
 
 def _fraction_free_update(piv_row, pj):
@@ -371,13 +385,14 @@ def _gcd_reduce(row):
 
 
 def _int_rows(rows):
-    """The row dicts scaled to integers, each by its denominators' lcm."""
+    """The row dicts as primitive integer rows: each scaled by its
+    denominators' lcm, then divided by its content gcd."""
     out = []
     for r in rows:
         den = 1
         for v in r.values():
             den = den * v.denominator // gcd(den, v.denominator)
-        out.append({j: int(v * den) for j, v in r.items()})
+        out.append(_gcd_reduce({j: int(v * den) for j, v in r.items()}))
     return out
 
 
@@ -385,8 +400,7 @@ def _rank_rational(rows):
     """Exact integer elimination of the row dicts: the Markowitz loop with
     fraction-free row updates, each updated row renormalised by its content
     gcd."""
-    return len(_eliminate([_gcd_reduce(r) for r in _int_rows(rows)],
-                          False, _fraction_free_update))
+    return _eliminate(_int_rows(rows), _fraction_free_update)
 
 
 def _rows_mod(rows, m):
@@ -418,7 +432,7 @@ def _rank_modular(rows, p):
     reduced = _rows_mod(rows, p)
     if reduced is None:
         raise RankError(f"prime {p} divides a denominator")
-    return len(_eliminate(reduced, False, partial(_modular_update, p)))
+    return _eliminate(reduced, partial(_modular_update, p))
 
 
 class _NonUnitPivot(Exception):
@@ -444,7 +458,7 @@ def _consensus_ranks(rows, primes):
                 raise _NonUnitPivot
             return _modular_update(m, piv_row, pj)
         try:
-            return [len(_eliminate(reduced, False, update))] * len(primes)
+            return [_eliminate(reduced, update)] * len(primes)
         except _NonUnitPivot:
             pass
     return [_rank_modular(rows, p) for p in primes]
@@ -500,46 +514,28 @@ def multiply(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
 
 def kernel_basis(m: SparseIntMatrix):
     """Integer basis vectors (dicts col->value) spanning ker(m) over Q: one
-    per free column of the fully reduced rows, primitive and positive
-    there."""
-    rows = _int_rows(m.rows().values())
-    pivots = _eliminate(rows, True, _fraction_free_update)
-    holders = {}
-    for pj, ri in pivots:
-        for j, v in rows[ri].items():
-            if j != pj:
-                holders.setdefault(j, []).append((pj, rows[ri][pj], v))
-    basis = []
-    free = sorted(set(range(m.ncols)) - {pj for pj, _ in pivots})
-    for f in free:
-        den = lcm(*(piv for _, piv, _ in holders.get(f, ())))
-        vec = {f: den}
-        for pj, piv, v in holders.get(f, ()):
-            vec[pj] = -v * den // piv
-        g = gcd(*vec.values())
-        basis.append({j: v // g for j, v in vec.items()})
-    return basis
+    per non-leading column ``f`` of an echelon form, back-substituted from
+    ``x_f = 1`` and scaled to be primitive, so positive at ``f``."""
+    lead = _echelon(_int_rows(m.rows().values()))
+    free = {f: {f: 1} for f in range(m.ncols) if f not in lead}
+    return _int_rows(_back_substitute(lead, free).values())
 
 
 def solve_columns(D: SparseIntMatrix, C: SparseIntMatrix):
     """One exact solution ``X`` of ``D X = C`` over Q, or ``None`` when some
     column of ``C`` lies outside the column span of ``D``.  Deterministic:
-    ``[D | C]`` is fully reduced at the leftmost live columns, and ``X`` is
-    the solution supported on the pivot columns of ``D``."""
+    ``X`` is the solution supported on the leading columns of an echelon
+    form of ``[D | C]``, which are the same for every echelon form."""
     if D.nrows != C.nrows:
         raise ValueError("row counts disagree")
-    aug = _with_cols(D.nrows, D.ncols + C.ncols, D.cols + C.cols)
-    rows = _int_rows(aug.rows().values())
-    pivots = _eliminate(rows, True, _fraction_free_update)
-    if any(pj >= D.ncols for pj, _ in pivots):
+    n = D.ncols
+    aug = _with_cols(D.nrows, n + C.ncols, D.cols + C.cols)
+    lead = _echelon(_int_rows(aug.rows().values()))
+    if any(p >= n for p in lead):
         return None
-    xcols = [{} for _ in range(C.ncols)]
-    for pj, ri in pivots:
-        row = rows[ri]
-        for j, v in row.items():
-            if j >= D.ncols:
-                xcols[j - D.ncols][pj] = Fraction(v, row[pj])
-    return _with_cols(D.ncols, C.ncols, [_pack(c) for c in xcols])
+    x = _back_substitute(lead, {n + c: {c: -1} for c in range(C.ncols)})
+    return _with_cols(n, C.ncols, [_pack({p: v for p, v in x[c].items() if p < n})
+                                   for c in range(C.ncols)])
 
 
 # -- MatrixMarket coordinate io -------------------------------------------------
@@ -570,6 +566,8 @@ def read_matrix_market(path: str) -> SparseIntMatrix:
         except ValueError:
             raise ValueError(f"{path}: size line {line.strip()!r} is not three "
                              "integers") from None
+        if min(nrows, ncols, nnz) < 0:
+            raise ValueError(f"{path}: size line {line.strip()!r} has a negative count")
         m = SparseIntMatrix(nrows, ncols)
         for k in range(nnz):
             try:

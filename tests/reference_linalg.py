@@ -7,8 +7,8 @@ column, with no fill control.  It is slow on large differentials and kept
 only to check the Markowitz version against.
 
 ``kernel_basis`` and ``solve_columns`` are the ``Fraction`` eliminations the
-package ran before both moved onto the same loop: rows in input order, each
-pivot normalised to one at the smallest live column, then a full
+package ran before it moved to an integer echelon form: rows in input order,
+each pivot normalised to one at the smallest live column, then a full
 back-substitution.  They are kept to check the integer versions against.
 
 ``DictMatrix`` is the ``(row, col) -> value`` dict storage ``SparseIntMatrix``
