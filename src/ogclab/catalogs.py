@@ -56,7 +56,7 @@ class ResourceCapExceeded(RuntimeError):
     """Raised when a generator would exceed the requested cell cap."""
 
 
-@dataclass
+@dataclass(slots=True)
 class CatalogEntry:
     key: bytes
     killed: bool

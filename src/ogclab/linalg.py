@@ -23,10 +23,12 @@ instead of a dict item and a key tuple.  ``entries`` is a read-only
 ``(row, col) -> value`` mapping over the same tuples.  ``multiply`` builds
 the product one output column at a time, as ``a`` applied to a column of
 ``b``, so the d^2 = 0 check holds one column's sums at a time.  The row
-dicts that elimination needs are built once per rank call from ``rows()``;
-the modular and rational ranks of a consensus check share them.  Integral
-entries are stored as ``int``; only a non-integral value, such as an entry
-of a solution from ``solve_columns``, is kept as ``Fraction``.
+dicts that elimination needs are built once per rank call from ``rows()``,
+and the modular and rational ranks of a consensus check both eliminate on
+them: a row is copied only when it must be reduced or scaled, and an
+updated row is a new dict, so the matrix's rows are never changed.
+Integral entries are stored as ``int``; only a non-integral value, such as
+an entry of a solution from ``solve_columns``, is kept as ``Fraction``.
 """
 from __future__ import annotations
 
@@ -254,48 +256,62 @@ def _pack(acc):
 
 def _eliminate(rows, update):
     """Gaussian elimination on the nonzero sparse ``rows`` (dicts column ->
-    value); returns the rank.
+    value, the columns ints from 0); returns the rank.  The list ``rows``
+    is consumed: it is emptied at the start, so that a row no caller holds
+    is freed once it is replaced or dropped.  Its dicts are not copied and
+    never changed, so they may be the caller's own; an updated row is a
+    new dict.
 
     Pivot rule: the shortest live row (lowest index among equals) at its
-    sparsest column (lowest among equals), which keeps fill low; a finished
-    pivot row is dropped.  ``rows`` is emptied at the start, so that a row
-    replaced by its update, or dropped as a pivot, is freed at once.
+    sparsest column (fewest live rows, lowest among equals), which keeps
+    fill low; a finished pivot row is dropped.
+
+    The column index keeps, per column, a list of the rows that gained the
+    column, and an exact count of the live rows that hold it, which the
+    pivot rule reads.  A row that loses a column stays in its list until
+    the column is pivoted; such entries are skipped then, and the list is
+    dropped, since no live row holds the column after that step.
 
     ``update(piv_row, pj)`` returns the row operation clearing column ``pj``
     with that pivot; it maps a row to its reduced copy, without column
     ``pj`` and with no zero entries."""
     live = dict(enumerate(rows))
     rows.clear()
-    col_rows = {}
+    col_rows = [[] for _ in range(1 + max(map(max, live.values()), default=-1))]
     by_len = {}
     for ri, r in live.items():
         by_len.setdefault(len(r), set()).add(ri)
         for j in r:
-            col_rows.setdefault(j, set()).add(ri)
+            col_rows[j].append(ri)
+    count = list(map(len, col_rows))
     rank = 0
     while live:
         length = min(l for l, b in by_len.items() if b)
         pri = min(by_len[length])
-        pj = min(live[pri], key=lambda j: (len(col_rows[j]), j))
         piv_row = live.pop(pri)
-        by_len[len(piv_row)].discard(pri)
+        pj = min(piv_row, key=lambda j: (count[j], j))
+        by_len[length].discard(pri)
         rank += 1
         for j in piv_row:
-            col_rows[j].discard(pri)
+            count[j] -= 1
         eliminate = update(piv_row, pj)
-        for ri in sorted(col_rows[pj]):
+        for ri in sorted({ri for ri in col_rows[pj] if pj in live.get(ri, ())}):
             r = live[ri]
-            for j in r:
-                col_rows[j].discard(ri)
             new = eliminate(r)
+            for j in r:
+                if j not in new:
+                    count[j] -= 1
             for j in new:
-                col_rows[j].add(ri)
+                if j not in r:
+                    count[j] += 1
+                    col_rows[j].append(ri)
             by_len[len(r)].discard(ri)
             if new:
                 live[ri] = new
                 by_len.setdefault(len(new), set()).add(ri)
             else:
                 del live[ri]
+        col_rows[pj] = None
     return rank
 
 
@@ -385,29 +401,38 @@ def _gcd_reduce(row):
 
 
 def _int_rows(rows):
-    """The row dicts as primitive integer rows: each scaled by its
-    denominators' lcm, then divided by its content gcd."""
+    """The row dicts as primitive integer rows, in a new list: each scaled
+    by its denominators' lcm, then divided by its content gcd.  A row that
+    is already a primitive integer row is the caller's dict, not a copy."""
     out = []
     for r in rows:
-        den = 1
-        for v in r.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        out.append(_gcd_reduce({j: int(v * den) for j, v in r.items()}))
+        dens = [v.denominator for v in r.values() if type(v) is not int]
+        if dens:
+            den = lcm(*dens)
+            r = {j: int(v * den) for j, v in r.items()}
+        out.append(_gcd_reduce(r))
     return out
 
 
 def _rank_rational(rows):
     """Exact integer elimination of the row dicts: the Markowitz loop with
     fraction-free row updates, each updated row renormalised by its content
-    gcd."""
+    gcd.  ``rows`` is kept, and a primitive integer row is eliminated as
+    it is, not copied (``_int_rows``)."""
     return _eliminate(_int_rows(rows), _fraction_free_update)
 
 
 def _rows_mod(rows, m):
-    """The row dicts reduced modulo ``m``, zero rows dropped, or ``None``
-    when a denominator is not invertible modulo ``m``."""
+    """The row dicts modulo ``m`` in a new list, zero rows dropped, or
+    ``None`` when a denominator is not invertible modulo ``m``.  A row of
+    ``int`` entries that are all nonzero modulo ``m`` is the caller's dict,
+    not a reduced copy: the modular update reduces each value it computes,
+    and the others only need to be nonzero modulo ``m``."""
     out = []
     for r in rows:
+        if r and all(type(v) is int and v % m for v in r.values()):
+            out.append(r)
+            continue
         row = {}
         for j, v in r.items():
             if type(v) is not int:

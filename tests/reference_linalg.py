@@ -11,6 +11,11 @@ package ran before it moved to an integer echelon form: rows in input order,
 each pivot normalised to one at the smallest live column, then a full
 back-substitution.  They are kept to check the integer versions against.
 
+``eliminate`` is the Markowitz loop ``linalg._eliminate`` ran while its
+column index was a ``set`` of row indices per column, discarded and added
+entry by entry; it is kept to check the list index with lazy deletion
+against, pivot by pivot and row update by row update.
+
 ``DictMatrix`` is the ``(row, col) -> value`` dict storage ``SparseIntMatrix``
 had before it moved to column tuples, with the same setter, ``add`` and
 arithmetic; it is kept to check the column storage against.
@@ -57,6 +62,42 @@ def rank_modular(m, p):
                 pivots[j] = {jj: vv * inv % p for jj, vv in row.items()}
                 rank += 1
                 break
+    return rank
+
+
+def eliminate(rows, update):
+    live = dict(enumerate(rows))
+    rows.clear()
+    col_rows = {}
+    by_len = {}
+    for ri, r in live.items():
+        by_len.setdefault(len(r), set()).add(ri)
+        for j in r:
+            col_rows.setdefault(j, set()).add(ri)
+    rank = 0
+    while live:
+        length = min(l for l, b in by_len.items() if b)
+        pri = min(by_len[length])
+        pj = min(live[pri], key=lambda j: (len(col_rows[j]), j))
+        piv_row = live.pop(pri)
+        by_len[len(piv_row)].discard(pri)
+        rank += 1
+        for j in piv_row:
+            col_rows[j].discard(pri)
+        eliminate = update(piv_row, pj)
+        for ri in sorted(col_rows[pj]):
+            r = live[ri]
+            for j in r:
+                col_rows[j].discard(ri)
+            new = eliminate(r)
+            for j in new:
+                col_rows[j].add(ri)
+            by_len[len(r)].discard(ri)
+            if new:
+                live[ri] = new
+                by_len.setdefault(len(new), set()).add(ri)
+            else:
+                del live[ri]
     return rank
 
 

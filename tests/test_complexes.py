@@ -170,6 +170,26 @@ def test_stored_differentials_stay_compact():
     assert retained / nnz < 85
 
 
+def test_consensus_rank_working_set_stays_small():
+    # over the oriented (1,3) full differentials, check_consensus peaks at
+    # about 222 B above the stored matrix per stored entry with per-column
+    # row lists over the matrix's own rows, and at 354 B with per-column
+    # row sets over a modular and an integer copy of the rows
+    _, ox = pair(1, 3)
+    peak = nnz = 0
+    for m in ox.diffs.values():
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            m.check_consensus()
+            peak += tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        nnz += m.nnz
+    assert peak / nnz < 250
+
+
 def test_frozen_failures_name_the_variant():
     _, frozen = build_oriented_complexes(generate_oriented(1, labels(2)))
     k = next(k for k in frozen.degrees()

@@ -3,6 +3,8 @@ import random
 import re
 import sys
 from fractions import Fraction
+from functools import partial
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -155,6 +157,65 @@ def test_joint_consensus_ranks_match_per_prime(monkeypatch):
         fallback += bool(calls)
         joint += not calls
     assert joint > 10 and fallback > 100 and refused > 30
+
+
+def logged_run(eliminate, rows, update, norm):
+    """The rank from ``eliminate`` (``None`` on a non-unit pivot) and the
+    log of every pivot and every row reduced, values through ``norm``."""
+    log = []
+
+    def logged(piv_row, pj):
+        log.append((pj, norm(piv_row)))
+        reduce_row = update(piv_row, pj)
+        return lambda row: log.append(norm(row)) or reduce_row(row)
+    try:
+        return eliminate(rows, logged), log
+    except linalg._NonUnitPivot:
+        return None, log
+
+
+def test_eliminate_matches_set_index_reference():
+    # the column lists with lazy deletion pick every pivot and reduce every
+    # row as the column sets did, also up to a non-unit pivot modulo
+    # 2 * 3 * 5, the reference getting the residues the modular ranks once
+    # eliminated on; the ranks leave the caller's row dicts as they were,
+    # and eliminate on the primitive integer rows, and on the integer rows
+    # that are nonzero modulo the modulus, as they are
+    def unit_mod_30(piv_row, pj):
+        if gcd(piv_row[pj], 30) != 1:
+            raise linalg._NonUnitPivot
+        return linalg._modular_update(30, piv_row, pj)
+
+    rng = random.Random(20261019)
+    nonunit = 0
+    for case in range(300):
+        m = random_sparse(rng, with_fractions=case % 3 == 0)
+        rows = list(m.rows().values())
+        before = [dict(r) for r in rows]
+        runs = [(linalg._int_rows(rows), [dict(r) for r in linalg._int_rows(rows)],
+                 linalg._fraction_free_update, sorted)]
+        for q, update in ((10007, partial(linalg._modular_update, 10007)),
+                          (30, unit_mod_30)):
+            reduced = linalg._rows_mod(rows, q)
+            if reduced is not None:
+                runs.append((reduced, [{j: v % q for j, v in r.items()} for r in reduced],
+                             update, lambda r, q=q: sorted((j, v % q) for j, v in r.items())))
+        for mine, theirs, update, norm in runs:
+            got = logged_run(linalg._eliminate, mine, update, norm)
+            assert got == logged_run(reference_linalg.eliminate, theirs, update, norm)
+            nonunit += got[0] is None
+        for r, s, t in zip(rows, linalg._int_rows(rows), linalg._rows_mod(rows, 10007)):
+            ints = all(type(v) is int for v in r.values())
+            assert (s is r) == (ints and gcd(*r.values()) == 1)
+            assert (t is r) == ints
+        linalg._consensus_ranks(rows, linalg._random_primes(case))
+        linalg._rank_rational(rows)
+        try:
+            linalg._rank_modular(rows, 3)
+        except RankError:
+            pass
+        assert rows == before
+    assert nonunit > 100
 
 
 def test_modular_rank_rejects_composite_modulus():
