@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from .graphs import Graph, StabilityProfile
 from .canonical import canonicalize, decode_key, induced_edge_map, key_tuples, perm_parity
 from .catalogs import GraphCatalog
-from .linalg import SparseIntMatrix
+from .linalg import SparseIntMatrix, _agreed, _field_ranks, _random_primes
 
 
 class ComplexError(RuntimeError):
@@ -39,6 +39,17 @@ class ComplexError(RuntimeError):
 
 @dataclass
 class GradedComplex:
+    """A graded complex with its differentials ``d_k : C_k -> C_{k-1}``.
+
+    The ranks come from one sweep over the degrees in ascending order, run
+    on the first ``rank_of_differential`` call with that call's seed.  Each
+    rank is checked as by ``check_consensus``: three random primes, jointly
+    with a per-prime fallback, against the rational rank, every field by
+    its own elimination.  Since ``d_{k-1} d_k = 0``, each field eliminates
+    ``d_k`` without the rows at its own pivot columns of ``d_{k-1}``
+    (``linalg._field_ranks``), and the rational pivot columns of each
+    degree are kept for the completion solve (``_pivot_columns``)."""
+
     flavor: str
     genus: int
     labels: tuple
@@ -48,6 +59,7 @@ class GradedComplex:
     variant: str = "full"
     _index: dict = field(default_factory=dict, repr=False)
     _ranks: dict = field(default_factory=dict, repr=False)
+    _pivots: dict = field(default_factory=dict, repr=False)   # degree -> rational Q
 
     def degrees(self):
         return sorted(self.basis)
@@ -71,10 +83,31 @@ class GradedComplex:
         return m
 
     def rank_of_differential(self, k, seed=0):
-        if k not in self._ranks:
-            name = f"{self.flavor}(g={self.genus},n={len(self.labels)}) d_{k}"
-            self._ranks[k] = self.differential(k).check_consensus(seed=seed, name=name)
-        return self._ranks[k]
+        """Rank of ``d_k``, 0 outside the basis; the first call runs the
+        sweep that ranks every degree (see the class docstring)."""
+        if not self._ranks:
+            self._sweep(seed)
+        return self._ranks.get(k, 0)
+
+    def _pivot_columns(self, k):
+        """The rational elimination's pivot columns of ``d_k`` from the
+        sweep, empty outside the basis."""
+        self.rank_of_differential(k)
+        return self._pivots.get(k, ())
+
+    def _sweep(self, seed):
+        """Rank every differential in ascending degree, each field dropping
+        the rows at its own pivot columns of the differential below; raise
+        ``RankError`` on a disagreement, naming the matrix.  The ranks are
+        kept only when every degree agrees, so a later call raises again."""
+        primes = _random_primes(seed)
+        where = f"{self.flavor}(g={self.genus},n={len(self.labels)})"
+        ranks, pivots, drop = {}, {}, None
+        for k in range(min(self.basis), max(self.basis) + 1) if self.basis else ():
+            modular, rational, drop = _field_ranks(self.differential(k), primes, drop)
+            ranks[k] = _agreed(f"{where} d_{k}", modular, rational)
+            pivots[k] = drop[0]
+        self._ranks, self._pivots = ranks, pivots
 
 
 def build_marked_complex(catalog: GraphCatalog) -> GradedComplex:
@@ -313,12 +346,16 @@ class BettiTable:
 
 def betti(cx: GradedComplex, seed: int = 0) -> BettiTable:
     """Betti numbers ``dim_k - rank d_k - rank d_{k+1}`` with the modular and
-    rational rank pipelines cross-checked on every matrix."""
+    rational rank pipelines cross-checked on every matrix.  The ranks come
+    from the complex's one ascending sweep, in which each field eliminates
+    ``d_{k+1}`` without the rows at its own pivot columns of ``d_k``:
+    ``d_k d_{k+1} = 0`` puts the columns of ``d_{k+1}`` in ``ker d_k``, where
+    those coordinates are fixed by the others, so the rank is kept."""
     dims = {k: cx.dim(k) for k in cx.degrees()}
     table = {}
     for k in cx.degrees():
         r_in = cx.rank_of_differential(k, seed=seed)
-        r_out = cx.rank_of_differential(k + 1, seed=seed) if (k + 1) in cx.basis else 0
+        r_out = cx.rank_of_differential(k + 1, seed=seed)
         table[k] = dims[k] - r_in - r_out
         if table[k] < 0:
             raise ComplexError(f"negative Betti number at degree {k}")

@@ -15,7 +15,21 @@ their product, each pivot a unit modulo every prime; a pivot or a
 denominator that shares a factor with the product falls back to one
 elimination per prime.  ``rank`` escalates to the rational computation
 unless the modular ranks agree unanimously, and ``check_consensus`` asserts
-that each equals the rational rank.
+that each equals the rational rank.  Every elimination can report its pivot
+columns.
+
+Along a chain complex the ranks are compressed (``_field_ranks``; Bauer,
+Kerber & Reininghaus, *Clear and compress*, 2013, the dual of the clearing
+of Chen & Kerber, *Persistent homology computation with a twist*, 2011).
+With ``d_{k-1} d_k = 0`` every column of ``d_k`` lies in ``ker d_{k-1}``.
+The pivot columns Q of an elimination of ``d_{k-1}`` are independent, so on
+that kernel the coordinates in Q are fixed by the others: deleting the rows
+Q of ``d_k`` is injective on its column span, and keeps its rank and every
+linear relation among its columns.  Each field deletes the rows at its own
+pivot columns: the rational elimination's, the joint modular one's, or
+after a fallback each prime's, so no field's rank rests on another field's
+elimination.  The completion solve deletes the same rows, the rational Q of
+the differential below its system (``zivkovic._solve_in_kernel``).
 
 A matrix is stored by column: ``cols[j]`` is one tuple of column ``j``'s
 nonzero rows and values, rows ascending, so an entry costs two tuple slots
@@ -23,16 +37,18 @@ instead of a dict item and a key tuple.  ``entries`` is a read-only
 ``(row, col) -> value`` mapping over the same tuples.  ``multiply`` builds
 the product one output column at a time, as ``a`` applied to a column of
 ``b``, so the d^2 = 0 check holds one column's sums at a time.  The row
-dicts that elimination needs are built once per rank call from ``rows()``,
-and the modular and rational ranks of a consensus check both eliminate on
-them: a row is copied only when it must be reduced or scaled, and an
-updated row is a new dict, so the matrix's rows are never changed.
+dicts that elimination needs are built once per rank call, only for the
+rows some field keeps, and the modular and rational ranks of a consensus
+check both eliminate on them: a row is copied only when it must be reduced
+or scaled, and an updated row is a new dict, so the matrix's rows are never
+changed.
 Integral entries are stored as ``int``; only a non-integral value, such as
 an entry of a solution from ``solve_columns``, is kept as ``Fraction``.
 """
 from __future__ import annotations
 
 import random
+from array import array
 from collections.abc import ItemsView, Mapping
 from fractions import Fraction
 from functools import partial
@@ -110,11 +126,7 @@ class SparseIntMatrix:
 
     def rows(self):
         """``{row: {col: value}}`` over the nonzero rows, both ascending."""
-        out = {}
-        for j, col in enumerate(self.cols):
-            for i, v in _pairs(col):
-                out.setdefault(i, {})[j] = v
-        return {i: out[i] for i in sorted(out)}
+        return _row_dicts(self, bytes(self.nrows))
 
     def __eq__(self, other):
         return (isinstance(other, SparseIntMatrix)
@@ -169,14 +181,9 @@ class SparseIntMatrix:
         random primes drawn from ``seed`` equals the rational rank; return
         the rank.  The primes are eliminated jointly modulo their product,
         with a per-prime fallback (``_consensus_ranks``), from the same row
-        dicts as the rational rank."""
-        rows = list(self.rows().values())
-        modular = _consensus_ranks(rows, _random_primes(seed))
-        rational = _rank_rational(rows)
-        if any(m != rational for m in modular):
-            raise RankError(
-                f"{name}: modular ranks {modular} disagree with rational {rational}")
-        return rational
+        dicts as the rational rank (``_field_ranks``)."""
+        modular, rational, _ = _field_ranks(self, _random_primes(seed))
+        return _agreed(name, modular, rational)
 
 
 class _Entries(Mapping):
@@ -243,6 +250,33 @@ def _find(col, i):
     return 2 * lo
 
 
+def _mask(n, rows):
+    """``bytearray`` of length ``n``, 1 at each index in ``rows``."""
+    mask = bytearray(n)
+    for i in rows:
+        mask[i] = 1
+    return mask
+
+
+def _row_dicts(m, skip):
+    """``{row: {col: value}}`` over the nonzero rows ``i`` of ``m`` with
+    ``skip[i]`` zero, both ascending."""
+    out = {}
+    for j, col in enumerate(m.cols):
+        for i, v in _pairs(col):
+            if not skip[i]:
+                out.setdefault(i, {})[j] = v
+    return {i: out[i] for i in sorted(out)}
+
+
+def _without_rows(m, rows):
+    """``m`` with every entry in the rows ``rows`` deleted, same shape."""
+    mask = _mask(m.nrows, rows)
+    return _with_cols(m.nrows, m.ncols,
+                      [tuple(x for i, v in _pairs(col) if not mask[i] for x in (i, v))
+                       for col in m.cols])
+
+
 def _pack(acc):
     """Column tuple of the nonzero values in ``{row: value}``, integral
     ones as ``int``."""
@@ -254,13 +288,14 @@ def _pack(acc):
     return tuple(col)
 
 
-def _eliminate(rows, update):
+def _eliminate(rows, update, pivots=None):
     """Gaussian elimination on the nonzero sparse ``rows`` (dicts column ->
-    value, the columns ints from 0); returns the rank.  The list ``rows``
-    is consumed: it is emptied at the start, so that a row no caller holds
-    is freed once it is replaced or dropped.  Its dicts are not copied and
-    never changed, so they may be the caller's own; an updated row is a
-    new dict.
+    value, the columns ints from 0); returns the rank, and appends each
+    pivot column, in pivot order, to ``pivots`` when given.  The list
+    ``rows`` is consumed: it is emptied at the start, so that a row no
+    caller holds is freed once it is replaced or dropped.  Its dicts are
+    not copied and never changed, so they may be the caller's own; an
+    updated row is a new dict.
 
     Pivot rule: the shortest live row (lowest index among equals) at its
     sparsest column (fewest live rows, lowest among equals), which keeps
@@ -292,6 +327,8 @@ def _eliminate(rows, update):
         pj = min(piv_row, key=lambda j: (count[j], j))
         by_len[length].discard(pri)
         rank += 1
+        if pivots is not None:
+            pivots.append(pj)
         for j in piv_row:
             count[j] -= 1
         eliminate = update(piv_row, pj)
@@ -353,13 +390,18 @@ def _back_substitute(lead, x):
 
 
 def _fraction_free_update(piv_row, pj):
-    """Over Z: ``piv * row - row[pj] * piv_row``, divided by its content."""
+    """Over Z: ``piv * row - row[pj] * piv_row``, divided by its content.
+    With ``piv`` 1 the row is copied, not scaled."""
     piv = piv_row[pj]
     rest = [(j, v) for j, v in piv_row.items() if j != pj]
 
     def eliminate(row):
         a = row[pj]
-        new = {j: piv * v for j, v in row.items() if j != pj}
+        if piv == 1:
+            new = dict(row)
+            del new[pj]
+        else:
+            new = {j: piv * v for j, v in row.items() if j != pj}
         for j, v in rest:
             val = new.get(j, 0) - a * v
             if val:
@@ -414,12 +456,13 @@ def _int_rows(rows):
     return out
 
 
-def _rank_rational(rows):
+def _rank_rational(rows, pivots=None):
     """Exact integer elimination of the row dicts: the Markowitz loop with
     fraction-free row updates, each updated row renormalised by its content
-    gcd.  ``rows`` is kept, and a primitive integer row is eliminated as
-    it is, not copied (``_int_rows``)."""
-    return _eliminate(_int_rows(rows), _fraction_free_update)
+    gcd; the pivot columns go to ``pivots`` when given.  ``rows`` is kept,
+    and a primitive integer row is eliminated as it is, not copied
+    (``_int_rows``)."""
+    return _eliminate(_int_rows(rows), _fraction_free_update, pivots)
 
 
 def _rows_mod(rows, m):
@@ -447,24 +490,25 @@ def _rows_mod(rows, m):
     return out
 
 
-def _rank_modular(rows, p):
+def _rank_modular(rows, p, pivots=None):
     """Rank of the row dicts over Z/p: the Markowitz loop with the pivot
-    row scaled by its inverse.  At most the rational rank.  The consensus
-    ranks eliminate their primes jointly modulo the product
-    (``_consensus_ranks``) and fall back to this rank, prime by prime."""
+    row scaled by its inverse; the pivot columns go to ``pivots`` when
+    given.  At most the rational rank.  The consensus ranks eliminate their
+    primes jointly modulo the product (``_consensus_ranks``) and fall back
+    to this rank, prime by prime."""
     if not _is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     reduced = _rows_mod(rows, p)
     if reduced is None:
         raise RankError(f"prime {p} divides a denominator")
-    return _eliminate(reduced, partial(_modular_update, p))
+    return _eliminate(reduced, partial(_modular_update, p), pivots)
 
 
 class _NonUnitPivot(Exception):
     """A joint pivot shares a factor with the product of the primes."""
 
 
-def _consensus_ranks(rows, primes):
+def _consensus_ranks(rows, primes, pivots=None):
     """The rank of the row dicts modulo each of ``primes``, from one run of
     the Markowitz loop over Z/M, M the product of the primes.
 
@@ -473,8 +517,14 @@ def _consensus_ranks(rows, primes):
     Z/p.  A row that empties modulo M is zero modulo every prime; a live
     row that is zero modulo some prime would be picked with a non-unit
     pivot.  So when every pivot is a unit, the pivot count is each prime's
-    rank.  When a pivot or a denominator shares a factor with M, every
-    prime is eliminated on its own with ``_rank_modular``."""
+    rank, and the pivot columns are a valid pivot set over each Z/p.  When
+    a pivot or a denominator shares a factor with M, every prime is
+    eliminated on its own with ``_rank_modular``.
+
+    ``pivots``, when given, is extended by one array of pivot columns per
+    prime: after the joint run, the same array for every prime."""
+    if pivots is None:
+        pivots = []
     m = prod(primes)
     reduced = _rows_mod(rows, m)
     if reduced is not None:
@@ -482,11 +532,58 @@ def _consensus_ranks(rows, primes):
             if gcd(piv_row[pj], m) != 1:
                 raise _NonUnitPivot
             return _modular_update(m, piv_row, pj)
+        joint = array("i")
         try:
-            return [_eliminate(reduced, update)] * len(primes)
+            rank = _eliminate(reduced, update, joint)
         except _NonUnitPivot:
             pass
-    return [_rank_modular(rows, p) for p in primes]
+        else:
+            pivots += [joint] * len(primes)
+            return [rank] * len(primes)
+    own = [array("i") for _ in primes]
+    pivots += own
+    return [_rank_modular(rows, p, q) for p, q in zip(primes, own)]
+
+
+def _field_ranks(m, primes, drop=None):
+    """The ranks of ``m`` modulo each of ``primes`` (``_consensus_ranks``)
+    and over Q (``_rank_rational``), each field from its own elimination:
+    ``(modular ranks, rational rank, pivots)``.  ``pivots`` lists arrays of
+    pivot columns: the rational elimination's, then one per prime.
+
+    ``drop``, when given, is that list for the differential before ``m``
+    in a chain complex: the ``d_{k-1}`` whose columns are the rows of
+    ``m = d_k``, with ``d_{k-1} d_k = 0``.  Each field then eliminates only
+    the rows of ``m`` outside its own pivot columns of ``d_{k-1}``, which
+    keeps the rank (compression, see the module docstring).  The primes
+    run jointly when they drop the same rows, and each on its own
+    otherwise.  Rows that no field keeps are never built."""
+    drop = drop or [()] * (1 + len(primes))
+    joint = all(q == drop[1] for q in drop[2:])
+    fields = drop[:2] if joint else drop
+    masks = [_mask(m.nrows, q) for q in fields]
+    rows = _row_dicts(m, bytes(map(min, *masks)))
+    kept = []           # one list per field, shared by fields that drop alike
+    for q, mask in zip(fields, masks):
+        same = [r for p, r in zip(fields, kept) if p == q]
+        kept.append(same[0] if same else [r for i, r in rows.items() if not mask[i]])
+    del rows
+    rat_rows, *mod_rows = kept
+    pivots = [array("i")]
+    if joint:
+        modular = _consensus_ranks(mod_rows[0], primes, pivots)
+    else:
+        pivots += [array("i") for _ in primes]
+        modular = [_rank_modular(r, p, q) for r, p, q in zip(mod_rows, primes, pivots[1:])]
+    return modular, _rank_rational(rat_rows, pivots[0]), pivots
+
+
+def _agreed(name, modular, rational):
+    """``rational``, after asserting that every modular rank equals it."""
+    if any(r != rational for r in modular):
+        raise RankError(
+            f"{name}: modular ranks {modular} disagree with rational {rational}")
+    return rational
 
 
 def _random_primes(seed):

@@ -25,7 +25,7 @@ from .catalogs import (GraphCatalog, generate_or_load, spanning_forests)
 from .complexes import (GradedComplex, betti, betti_shift_matches,
                         build_marked_complex, build_oriented_complexes,
                         euler_characteristic)
-from .linalg import SparseIntMatrix, solve_columns
+from .linalg import SparseIntMatrix, _without_rows, solve_columns
 
 
 @dataclass
@@ -194,7 +194,9 @@ def complete_chain_map(psi: dict, marked: GradedComplex, oriented: GradedComplex
                        eps: int = 1):
     """Add an exact lower-order correction so the family commutes with the
     full oriented differential: solve ``D phi_k = eps phi_{k-1} d_k - r_k``
-    bottom-up.  Returns ``(completed family, solvable, support sizes)``."""
+    bottom-up, each system on the rows the oriented rank sweep leaves
+    (``_solve_in_kernel``).  Returns ``(completed family, solvable, support
+    sizes)``."""
     n = len(marked.labels)
     completed = {k: m.copy() for k, m in psi.items()}
     support = {}
@@ -208,13 +210,33 @@ def complete_chain_map(psi: dict, marked: GradedComplex, oriented: GradedComplex
         resid = left - (right if eps == 1 else -right)
         if resid.is_zero():
             continue
-        target = -resid
-        phi = solve_columns(big, target)
+        phi = _solve_in_kernel(oriented, k + n, -resid)
         if phi is None:
             return completed, False, support
         completed[k] = completed[k] + phi
         support[k] = phi.nnz
     return completed, True, support
+
+
+def _solve_in_kernel(oriented: GradedComplex, deg: int, target: SparseIntMatrix):
+    """``solve_columns(D, C)`` for ``D = D_deg``, on the rows of ``[D | C]``
+    outside the pivot columns Q of the rational elimination of
+    ``D_{deg-1}`` in the oriented rank sweep, when ``D_{deg-1} C = 0``.
+
+    Every column of ``D`` lies in ``ker D_{deg-1}``, since ``D_{deg-1} D =
+    0``, and every column of ``C`` does when ``D_{deg-1} C = 0``; once the
+    lower degrees are completed that always holds.  The columns Q of
+    ``D_{deg-1}`` are independent, so on that kernel the coordinates in Q
+    are fixed by the others: deleting the rows Q is injective on the span
+    of the columns of ``[D | C]`` and keeps every linear relation among
+    them.  So the leading columns of an echelon form, the solution
+    supported on them, and whether one exists, are those of the full
+    system.  When ``D_{deg-1} C`` is not zero the full system is solved."""
+    big = oriented.differential(deg)
+    if not (oriented.differential(deg - 1) * target).is_zero():
+        return solve_columns(big, target)
+    q = oriented._pivot_columns(deg - 1)
+    return solve_columns(_without_rows(big, q), _without_rows(target, q))
 
 
 def verify_chain_map(psi: dict, marked: GradedComplex,

@@ -1,7 +1,11 @@
 """Complex assembly: d^2 = 0, Betti tables, Euler, grading dictionary."""
+import dataclasses
 import gc
+import random
+import re
 import sys
 import tracemalloc
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -9,16 +13,20 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 import oracle
 import reference_complexes as ref
+import reference_linalg
+
+from ogclab import complexes, linalg
 
 from ogclab.canonical import canonical_form, canonicalize, decode_key, key_tuples
 from ogclab.catalogs import generate_marked, generate_oriented
-from ogclab.complexes import (ComplexError, _admissible_contractions,
+from ogclab.complexes import (ComplexError, GradedComplex, _admissible_contractions,
                               _check_d_squared, _edge_order_sign, _reaches,
                               _vertex_order_sign, betti, betti_shift_matches,
                               build_marked_complex, build_oriented_complex,
                               build_oriented_complexes,
                               euler_characteristic)
 from ogclab.graphs import contract_edge, is_acyclic, is_stable
+from ogclab.linalg import RankError, SparseIntMatrix
 
 
 def labels(n):
@@ -188,6 +196,162 @@ def test_consensus_rank_working_set_stays_small():
             tracemalloc.stop()
         nnz += m.nnz
     assert peak / nnz < 250
+
+
+def unranked(cx):
+    """``cx`` with the same bases and differentials and no ranks yet."""
+    return dataclasses.replace(cx, _ranks={}, _pivots={})
+
+
+def test_rank_sweep_working_set_stays_small():
+    # the whole ascending sweep over the oriented (1,3) full differentials,
+    # its kept pivot columns included, peaks at about 63 B above the stored
+    # matrices per stored entry; ranking every degree by check_consensus,
+    # without compression, peaks at about 91 B
+    _, ox = pair(1, 3)
+    cx = unranked(ox)
+    nnz = sum(m.nnz for m in cx.diffs.values())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cx.rank_of_differential(min(cx.degrees()))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / nnz < 80
+
+
+@pytest.mark.parametrize("g, n", [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4)])
+def test_betti_tables_match_the_literature(g, n):
+    """The marked complex in degree ``k`` is spanned by graphs with ``k``
+    edges, each a cell of dimension ``k - 1`` of the moduli space of
+    tropical curves Delta_{g,n}, and its homology is the reduced homology
+    of Delta_{g,n}; a wedge of N spheres of dimension ``d`` thus gives
+    Betti number N in cell degree ``d + 1`` and 0 elsewhere.
+
+    Genus 1: "Delta_{1,n} is homotopy equivalent to a wedge sum of
+    (n - 1)!/2 spheres of dimension n - 1, for n >= 3" (Chan, Galatius &
+    Payne, Topology of moduli spaces of tropical curves with marked
+    points, arXiv:1903.07187), so (n - 1)!/2 in cell degree n.
+
+    Genus 0: Delta_{0,n} is the space of phylogenetic trees with n leaves,
+    a wedge of (n - 2)! spheres of dimension n - 4 (Vogtmann, Local
+    structure of some OUT(F_n)-complexes, 1990; Robinson & Whitehouse, The
+    tree representation of Sigma_{n+1}, 1996), so (n - 2)! in cell degree
+    n - 3; for n = 3 the space is empty, a sphere of dimension -1, and the
+    corolla gives 1 in degree 0.
+
+    Oriented: the spanning-forest quasi-isomorphism shifts the cell degree
+    by the number of markings, so the same numbers n degrees higher."""
+    degree, count = (n - 3, factorial(n - 2)) if g == 0 else (n, factorial(n - 1) // 2)
+    mx, ox = pair(g, n)
+    assert betti(mx).betti == {k: count if k == degree else 0 for k in mx.degrees()}
+    assert betti(ox).betti == {k: count if k == degree + n else 0 for k in ox.degrees()}
+
+
+@pytest.mark.parametrize("g, n", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1)])
+def test_swept_ranks_match_check_consensus_at_criterion_2_pairs(g, n):
+    for cx in pair(g, n):
+        cx = unranked(cx)
+        for k in cx.degrees():
+            assert cx.rank_of_differential(k, seed=11) == \
+                cx.differential(k).check_consensus(seed=11), (cx.flavor, g, n, k)
+
+
+CHAIN_VALUES = [-3, -2, -1, 1, 2, 3, 5, 6]
+
+
+def random_chain(rng, length=4):
+    """Differentials d_1, ..., d_length with d_k d_{k+1} = 0 by
+    construction: each after the first is a random integer combination of
+    the vectors of a kernel basis of the one before."""
+    nrows, ncols = rng.randint(1, 6), rng.randint(2, 9)
+    d = SparseIntMatrix(nrows, ncols)
+    for _ in range(rng.randint(1, nrows * ncols)):
+        d[rng.randrange(nrows), rng.randrange(ncols)] = rng.choice(CHAIN_VALUES)
+    mats = [d]
+    for _ in range(length - 1):
+        kernel = reference_linalg.kernel_basis(d)
+        d = SparseIntMatrix(d.ncols, rng.randint(1, 9))
+        for c in range(d.ncols):
+            for vec in kernel:
+                if rng.random() < 0.5:
+                    f = rng.choice(CHAIN_VALUES)
+                    for j, v in vec.items():
+                        d.add(j, c, f * v)
+        assert (mats[-1] * d).is_zero()
+        mats.append(d)
+    return mats
+
+
+def chain_complex(mats):
+    """The chain complex with differentials ``mats`` in degrees 1, 2, ..."""
+    basis = {0: list(range(mats[0].nrows))}
+    basis.update((k, list(range(m.ncols))) for k, m in enumerate(mats, 1))
+    return GradedComplex(flavor="random", genus=0, labels=(), d_parity=0, basis=basis,
+                         diffs=dict(enumerate(mats, 1)))
+
+
+def test_swept_ranks_match_check_consensus_on_random_chains():
+    rng = random.Random(20261019)
+    dropped = 0
+    for case in range(80):
+        cx = chain_complex(random_chain(rng))
+        for k in cx.degrees():
+            assert cx.rank_of_differential(k, seed=case) == \
+                cx.differential(k).check_consensus(seed=case), (case, k)
+        dropped += sum(len(cx._pivot_columns(k)) for k in cx.degrees()
+                       if k + 1 in cx.diffs and cx.diffs[k + 1].nnz)
+    assert dropped > 200
+
+
+def test_swept_field_ranks_with_small_primes():
+    # modulo 2, 3 and 5 the joint elimination falls back, the primes then
+    # drop different rows of the next differential, and the rational and
+    # modular pivot columns differ; each field's rank on its compressed
+    # rows must still be its rank on the whole matrix
+    rng = random.Random(20261020)
+    primes = (2, 3, 5)
+    fallback = split = differ = 0
+    for case in range(150):
+        drop = None
+        for m in random_chain(rng):
+            rows = list(m.rows().values())
+            modular, rational, pivots = linalg._field_ranks(m, primes, drop)
+            assert modular == [linalg._rank_modular(rows, p) for p in primes], case
+            assert rational == linalg._rank_rational(rows), case
+            assert list(map(len, pivots)) == [rational, *modular]
+            fallback += pivots[1] is not pivots[2]
+            split += drop is not None and not drop[1] == drop[2] == drop[3] and m.nnz > 0
+            differ += pivots[0] != pivots[1]
+            drop = pivots
+    assert fallback > 50 and split > 20 and differ > 50
+
+
+def test_sweep_rank_error_names_the_matrix(monkeypatch):
+    # with primes 2, 3 and 5 the first differential whose modular ranks
+    # disagree stops the sweep, with check_consensus's message on it, and
+    # asking again raises again instead of reading a half-filled table
+    monkeypatch.setattr(linalg, "_random_primes", lambda seed: [2, 3, 5])
+    monkeypatch.setattr(complexes, "_random_primes", lambda seed: [2, 3, 5])
+    rng = random.Random(20261021)
+    seen = 0
+    for _ in range(40):
+        cx = chain_complex(random_chain(rng))
+        for k in cx.degrees():
+            try:
+                cx.differential(k).check_consensus(name=f"random(g=0,n=0) d_{k}")
+            except RankError as err:
+                for _ in range(2):     # a failed sweep keeps no ranks
+                    with pytest.raises(RankError, match=f"^{re.escape(str(err))}$"):
+                        cx.rank_of_differential(k)
+                seen += 1
+                break
+        else:
+            assert [cx.rank_of_differential(k) for k in cx.degrees()] == \
+                [cx.differential(k).rank("rational") for k in cx.degrees()]
+    assert seen > 10
 
 
 def test_frozen_failures_name_the_variant():

@@ -136,7 +136,7 @@ def test_joint_consensus_ranks_match_per_prime(monkeypatch):
     per_prime = linalg._rank_modular
     calls = []
     monkeypatch.setattr(linalg, "_rank_modular",
-                        lambda rows, p: calls.append(p) or per_prime(rows, p))
+                        lambda rows, p, *pivots: calls.append(p) or per_prime(rows, p, *pivots))
     joint = fallback = refused = 0
     for case in range(300):
         m = random_sparse(rng, with_fractions=case % 3 == 0)

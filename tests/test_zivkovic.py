@@ -9,9 +9,10 @@ from ogclab.graphs import (Graph, GraphError, StabilityProfile, contract_edge,
 from ogclab.canonical import canonical_form
 from ogclab.catalogs import generate_marked, generate_oriented, spanning_forests
 from ogclab.complexes import build_marked_complex, build_oriented_complexes
-from ogclab.linalg import SparseIntMatrix, multiply
-from ogclab.zivkovic import (_induced_rank, forest_orient, psi_matrix,
-                             run_verification, verify_chain_map,
+from ogclab import zivkovic
+from ogclab.linalg import SparseIntMatrix, _without_rows, multiply, solve_columns
+from ogclab.zivkovic import (_induced_rank, _solve_in_kernel, forest_orient,
+                             psi_matrix, run_verification, verify_chain_map,
                              verify_quasi_iso)
 
 
@@ -147,6 +148,40 @@ def test_chain_map_small():
         assert report.passed, (g, n, report.to_dict())
         assert report.frozen_identity and report.full_identity
         assert completed is not None
+
+
+@pytest.mark.parametrize("g,n,support", [(1, 3, {3: 15}), (1, 4, {4: 612}),
+                                         (2, 2, {3: 3, 4: 14, 5: 8})])
+def test_compressed_completion_solve_matches_full_system(g, n, support, monkeypatch):
+    # each completion system, solved on the rows outside the rational pivot
+    # columns of the oriented differential below, has the full system's X
+    mx, full, frozen = stack(g, n)
+    solve = zivkovic._solve_in_kernel
+    dropped = []
+
+    def checked(oriented, deg, target):
+        x = solve(oriented, deg, target)
+        assert x == solve_columns(oriented.differential(deg), target), deg
+        dropped.append(len(oriented._pivot_columns(deg - 1)))
+        return x
+    monkeypatch.setattr(zivkovic, "_solve_in_kernel", checked)
+    report, _ = verify_chain_map(psi_matrix(mx, full), mx, full, frozen)
+    assert report.passed and report.completion_support == support
+    assert any(dropped)
+
+
+def test_completion_solve_outside_the_kernel_takes_the_full_system():
+    # a unit vector at a pivot column of D_{deg-1} lies outside ker D_{deg-1},
+    # so outside the span of D_deg: the full system has no solution, while
+    # on the compressed rows it would be the zero column, which solves
+    _, full, _ = stack(1, 3)
+    deg = next(d for d in full.degrees() if len(full._pivot_columns(d - 1)))
+    q = full._pivot_columns(deg - 1)
+    target = SparseIntMatrix(full.dim(deg - 1), 1, {(q[0], 0): 1})
+    assert not (full.differential(deg - 1) * target).is_zero()
+    assert _solve_in_kernel(full, deg, target) is None
+    assert solve_columns(_without_rows(full.differential(deg), q),
+                         _without_rows(target, q)) is not None
 
 
 def test_frozen_identity_is_exact_without_completion():
