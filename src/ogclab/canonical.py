@@ -15,32 +15,40 @@ automorphisms fixing the node's prefix is skipped, and a branch shown to be
 the image of an earlier one is abandoned.  The automorphisms found generate
 the full group; ``group_closure`` lists its elements where a caller needs
 them.  A partition that is discrete after the first refinement (the usual
-case for labelled catalog graphs) is a single leaf and skips the search.
+case for labelled catalog graphs) is a single leaf and skips the search, and
+one discrete at the initial colouring skips refinement as well.
+
+``_labelling`` is the one labelling core: initial colour values, ranked,
+refined and searched, with the graph reached only through its incidence and
+a leaf encoder.  ``canonicalize`` runs it on a graph given as tuples, and
+the complexes run it on a contraction target given by the generator it comes
+from (``complexes._admissible_contractions``).
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
+from itertools import chain
 from math import factorial
 
 from .graphs import Graph, GraphError
 
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
 
 def perm_parity(seq) -> int:
     """Sign of the permutation given as the image sequence of 0..n-1."""
-    seq = list(seq)
     n = len(seq)
-    seen = [False] * n
+    seen = bytearray(n)
     sign = 1
     for i in range(n):
         if seen[i]:
             continue
-        j = i
-        c = 0
-        while not seen[j]:
-            seen[j] = True
+        j = seq[i]
+        while j != i:
+            seen[j] = 1
             j = seq[j]
-            c += 1
-        if c % 2 == 0:
             sign = -sign
     return sign
 
@@ -50,15 +58,8 @@ def perm_parity(seq) -> int:
 def encode_key(weights, edges, marks, directed) -> bytes:
     """Byte key of a graph given as tuples; ``canonicalize`` checks that its
     values fit in a byte."""
-    out = bytearray([1 if directed else 0, len(weights), len(edges), len(marks)])
-    out += bytes(weights)
-    for (u, v) in edges:
-        out.append(u)
-        out.append(v)
-    for (l, v) in marks:
-        out.append(l)
-        out.append(v)
-    return bytes(out)
+    return bytes([1 if directed else 0, len(weights), len(edges), len(marks),
+                  *weights, *chain.from_iterable(edges), *chain.from_iterable(marks)])
 
 
 def key_tuples(key: bytes):
@@ -75,39 +76,89 @@ def decode_key(key: bytes) -> Graph:
     return Graph(*key_tuples(key))
 
 
-def _encoded(weights, edges, marks, perm, directed):
-    nv = len(weights)
-    w = [0] * nv
-    for v in range(nv):
-        w[perm[v]] = weights[v]
-    es = []
-    for (u, v) in edges:
-        a, b = perm[u], perm[v]
-        if not directed and a > b:
-            a, b = b, a
-        es.append((a, b))
+def _encoded(weights, edges, marks, perm, directed, ends=None):
+    """Key of the graph relabelled by ``perm``.  With ``ends``, the vertices
+    named in ``edges`` and ``marks`` are first sent to ``ends[v]``: the
+    contraction labelling passes a generator's edges and marks with the map
+    that merges the contracted edge's ends."""
+    w = weights
+    if any(weights):        # a relabelling leaves all-zero weights alone
+        w = [0] * len(weights)
+        for v, c in enumerate(perm):
+            w[c] = weights[v]
+    if ends is not None:
+        perm = list(map(perm.__getitem__, ends))
+    # each edge and mark as one 16-bit int, byte pair (x, y) as x << 8 | y,
+    # which sort as the pairs do and pack big-endian into encode_key's bytes
+    es = [perm[u] << 8 | perm[v] for (u, v) in edges]
+    if not directed:
+        es = [x if x >> 8 <= x & 255 else (x & 255) << 8 | x >> 8 for x in es]
     es.sort()
-    ms = sorted((l, perm[v]) for (l, v) in marks)
-    return encode_key(w, es, ms, directed)
+    pairs = array("H", es)
+    pairs.extend(sorted([l << 8 | perm[v] for (l, v) in marks]))
+    if _LITTLE_ENDIAN:
+        pairs.byteswap()
+    return bytes([1 if directed else 0, len(w), len(es), len(marks), *w]) + pairs.tobytes()
+
+
+def _incidence(nv, edges, directed, ends=None):
+    """Per vertex, ``(d, w)`` for each edge end at it: ``w`` the other end,
+    ``d`` 1 at the head of a directed edge and 0 otherwise.  With ``ends``
+    the edge ends are sent to ``ends[v]`` first, as in ``_encoded``."""
+    inc = [[] for _ in range(nv)]
+    d = 1 if directed else 0
+    for (u, v) in edges:
+        if ends is not None:
+            u, v = ends[u], ends[v]
+        inc[u].append((0, v))
+        inc[v].append((d, u))
+    return inc
 
 
 # -- refinement + search -------------------------------------------------------
 
 def _refine(nv, inc, colors):
-    while True:
-        nclasses = len(set(colors))
-        if nclasses == nv:
-            return colors
-        sigs = []
-        for v in range(nv):
-            row = sorted(d + 2 * colors[w] for (d, w) in inc[v])
-            row.insert(0, colors[v])
-            sigs.append(tuple(row))
-        ren = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ren[s] for s in sigs]
-        if len(set(new)) == nclasses:
-            return colors
-        colors = new
+    """Colour refinement of ``colors`` (values below ``nv``) over the
+    incidence ``inc``: each round ranks the signatures (own colour, sorted
+    ``d + 2 * colour`` of the incident edge ends), until a round splits no
+    class.  The signature of a vertex alone in its class is its colour
+    only: signatures of different colours compare by colour, so the ranks
+    are those of the full signatures."""
+    nclasses = len(set(colors))
+    while nclasses < nv:
+        size = [0] * nv
+        for c in colors:
+            size[c] += 1
+        sigs = [(c,) if size[c] == 1 else
+                (c, *sorted([d + 2 * colors[w] for (d, w) in inc[v]]))
+                for v, c in enumerate(colors)]
+        ren = dict(zip(sorted(set(sigs)), range(nv)))
+        if len(ren) == nclasses:
+            break
+        colors = list(map(ren.__getitem__, sigs))
+        nclasses = len(ren)
+    return colors
+
+
+def _labelling(raw, incidence, encode):
+    """The labelling core that ``canonicalize`` and the contraction
+    labelling in ``complexes`` share.  ``raw[v]`` is vertex ``v``'s initial
+    colour value, ``(weight, hair labels, degree)``; the values are ranked
+    into colours, refined over ``incidence()`` (called only when the
+    colouring is not already discrete) and searched below when refinement
+    leaves a cell of more than one vertex.  ``encode(perm)`` is the key of
+    the leaf ``perm``.  Returns ``(key, leaf, automorphisms found)``, the
+    leaf a list of canonical positions and the automorphisms in input
+    coordinates, none when the refined colouring is discrete."""
+    nv = len(raw)
+    ren = dict(zip(sorted(set(raw)), range(nv)))
+    colors = list(map(ren.__getitem__, raw))
+    if len(ren) < nv:
+        inc = incidence()
+        colors = _refine(nv, inc, colors)
+        if len(set(colors)) < nv:
+            return _search(nv, inc, colors, encode)
+    return encode(colors), colors, ()
 
 
 def canonicalize(weights, edges, marks, directed):
@@ -121,26 +172,19 @@ def canonicalize(weights, edges, marks, directed):
     if nv > 255 or len(edges) > 127 or min(weights) < 0 or max(weights) > 255 \
             or any(not 0 <= l <= 255 for (l, _) in marks):
         raise GraphError("graph does not fit the byte encoding")
-    inc = [[] for _ in range(nv)]
+    deg = [0] * nv
     for (u, v) in edges:
-        if directed:
-            inc[u].append((0, v))
-            inc[v].append((1, u))
-        else:
-            inc[u].append((0, v))
-            inc[v].append((0, u))
+        deg[u] += 1
+        deg[v] += 1
     hairs = [[] for _ in range(nv)]
     for (l, v) in sorted(marks):
         hairs[v].append(l)
-    deg = [len(inc[v]) for v in range(nv)]
     raw = [(weights[v], tuple(hairs[v]), deg[v]) for v in range(nv)]
-    ren = {s: i for i, s in enumerate(sorted(set(raw)))}
-    colors = _refine(nv, inc, [ren[s] for s in raw])
-    if len(set(colors)) == nv:
-        # discrete at the root: the search tree is a single leaf
-        return _encoded(weights, edges, marks, colors, directed), tuple(colors), ()
-    key, perm0, gens = _search(
-        nv, inc, colors, lambda perm: _encoded(weights, edges, marks, perm, directed))
+    key, perm0, gens = _labelling(
+        raw, lambda: _incidence(nv, edges, directed),
+        lambda perm: _encoded(weights, edges, marks, perm, directed))
+    if not gens:
+        return key, tuple(perm0), ()
     inv0 = [0] * nv
     for v, p in enumerate(perm0):
         inv0[p] = v

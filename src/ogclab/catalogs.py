@@ -41,6 +41,7 @@ import functools
 import itertools
 import json
 import os
+import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -542,9 +543,13 @@ def _write_file(path, data: bytes) -> None:
 
 
 def load_catalog(path: str) -> GraphCatalog:
-    """Read the cache file ``_store`` writes.  Every key must be a cell
-    generation could have made: canonical, of the file's flavour and labels,
-    connected, weight 0 and of its genus, stable, acyclic when directed.
+    """Read the cache file ``_store`` writes.  The file must hold the whole
+    catalog: its keys must match the count and the CRC-32 that ``_store``
+    recorded (``_keys_seal``), so a file missing cells, or written without
+    the seal, is refused rather than read as a smaller catalog.  Every key
+    must be a cell generation could have made: canonical, of the file's
+    flavour and labels, connected, weight 0 and of its genus, stable,
+    acyclic when directed.
     Degrees, kill flags and |Aut| are recomputed by ``_build_catalog``, as
     for a generated catalog, from the one ``key_tuples`` decoding the checks
     made; connectivity and genus come together from ``_b1_bound``.  The
@@ -558,6 +563,9 @@ def load_catalog(path: str) -> GraphCatalog:
         labels = _check_pair(g, doc["labels"])
         profile, directed = _PROFILES[flavor], flavor == "oriented"
         keys = sorted(set(map(bytes.fromhex, doc["keys"])))
+        if _keys_seal(doc["keys"]) != {"count": doc["count"], "crc32": doc["crc32"]}:
+            raise GraphError(f"catalog at {path} does not hold the {doc['count']} "
+                             f"keys it was written with")
 
         def checked(key):
             cell = key_tuples(key)
@@ -620,12 +628,13 @@ def generate_or_load(flavor: str, g: int, labels,
 
 def _store(cat: GraphCatalog, path: str) -> None:
     """Write the cache file of ``cat``: its flavour, genus, labels and sorted
-    hex keys, nothing that ``load_catalog`` recomputes.  The file is written
-    beside ``path`` and renamed onto it, so ``path`` never holds a partial
-    catalog."""
+    hex keys, sealed by their count and CRC-32 (``_keys_seal``), and nothing
+    that ``load_catalog`` recomputes.  The file is written beside ``path``
+    and renamed onto it, so ``path`` never holds a partial catalog."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
+    keys = [key.hex() for key in sorted(e.key for e in cat.entries())]
     doc = {"flavor": cat.flavor, "genus": cat.genus, "labels": list(cat.labels),
-           "keys": [key.hex() for key in sorted(e.key for e in cat.entries())]}
+           "keys": keys, **_keys_seal(keys)}
     tmp = f"{path}.tmp-{os.getpid()}"
     try:
         with open(tmp, "w") as fh:
@@ -634,3 +643,14 @@ def _store(cat: GraphCatalog, path: str) -> None:
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+
+
+def _keys_seal(hex_keys) -> dict:
+    """The count of the hex keys ``hex_keys`` and the CRC-32 of them, in
+    order and each ended by a newline, as the cache file records them.  Not
+    a sha256: importing ``hashlib`` maps OpenSSL and adds about 3.6 MB to
+    the peak RSS of every cached run."""
+    crc = 0
+    for key in hex_keys:
+        crc = zlib.crc32(key.encode() + b"\n", crc)
+    return {"count": len(hex_keys), "crc32": crc}

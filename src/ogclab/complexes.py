@@ -12,13 +12,21 @@ rule: contract every edge that is neither a loop nor in a parallel bundle
 (either would raise a weight), keeping targets that are stable and, for
 directed graphs, acyclic.  Only the sign differs between the flavours.  The
 loop works on the tuples decoded from each generator's canonical key, tests
-stability at the merged vertex and acyclicity by a path search, and hands
-the contracted tuples straight to ``canonicalize``; ``graphs.contract_edge``,
-``is_acyclic`` and ``is_stable`` are the public reference it agrees with.
-The subdivider-frozen oriented differential, the one the spanning-forest map
-commutes with on the nose, is the full one without the contractions of edges
-leaving a bivalent unmarked double-outgoing source; ``_assemble`` emits both
-from one pass, canonicalising each contraction target once.
+stability at the merged vertex and acyclicity by a path search, and labels
+each target on the generator's quotient, the generator with the edge's two
+ends merged, without building the target: the per-vertex colour values
+(weight, hair labels, degree) are the generator's but at the merged vertex,
+and ``canonical._labelling``, the core ``canonicalize`` runs too, refines
+them (McKay & Piperno, *Practical graph isomorphism II*, 2014) and
+searches where refinement leaves a tie, so the key and the relabelling are
+``canonicalize``'s on the contracted graph.  ``graphs.contract_edge``,
+``is_acyclic``, ``is_stable`` and ``canonical_form`` are the public
+reference it agrees with.  The subdivider-frozen oriented differential, the
+one the spanning-forest map commutes with on the nose, is the full one
+without the contractions of edges leaving a bivalent unmarked
+double-outgoing source; ``_assemble`` emits both from one pass, labelling
+each contraction target once and packing each column once, with one tuple
+for the two variants where they agree.
 Generators carrying an orientation-reversing automorphism are excluded from
 the bases, and a contraction onto one of them contributes zero; a target
 missing from the catalog altogether raises ``ComplexError``.
@@ -27,10 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph, StabilityProfile
-from .canonical import canonicalize, decode_key, induced_edge_map, key_tuples, perm_parity
+from .graphs import Graph, GraphError, StabilityProfile
+from .canonical import _encoded, _incidence, _labelling, decode_key, key_tuples, perm_parity
 from .catalogs import GraphCatalog
-from .linalg import SparseIntMatrix, _agreed, _field_ranks, _random_primes
+from .linalg import SparseIntMatrix, _agreed, _field_ranks, _pack, _random_primes, _with_cols
 
 
 class ComplexError(RuntimeError):
@@ -151,19 +159,20 @@ def _check_oriented(catalog: GraphCatalog) -> None:
         raise ComplexError("build_oriented_complex needs an oriented catalog")
 
 
-def _edge_order_sign(edges, e, target_edges, vertex_map) -> int:
+def _edge_order_sign(edges, e, vertex_map) -> int:
     """``(-1)^e`` for removing edge ``e`` from the edge order, times the
-    parity of the edge relabelling ``vertex_map`` induces on the (undirected)
-    target."""
+    parity of the edge relabelling that the target's canonical relabelling
+    ``vertex_map`` induces, parallel edges matched in order: the parity of
+    the stable sort of the other edges' (undirected) images."""
+    ends = _merging(len(vertex_map) + 1, *edges[e])
     images = []
-    for (u, v) in target_edges:
-        a, b = vertex_map[u], vertex_map[v]
+    for (u, v) in edges[:e] + edges[e + 1:]:
+        a, b = vertex_map[ends[u]], vertex_map[ends[v]]
         images.append((a, b) if a <= b else (b, a))
-    return (-1) ** e * perm_parity(
-        induced_edge_map(target_edges, vertex_map, sorted(images), False))
+    return (-1) ** e * perm_parity(sorted(range(len(images)), key=images.__getitem__))
 
 
-def _vertex_order_sign(edges, e, target_edges, vertex_map) -> int:
+def _vertex_order_sign(edges, e, vertex_map) -> int:
     """Parity of moving the ends ``(a, b)`` of ``e`` to the front, times the
     parity of the canonical relabelling on ``[merged] + rest``.  Moving ``a``
     to the front takes ``a`` transpositions, then ``b`` takes ``b - (b > a)``;
@@ -174,11 +183,21 @@ def _vertex_order_sign(edges, e, target_edges, vertex_map) -> int:
     return (-1) ** (a + b - (b > a) + min(a, b)) * perm_parity(vertex_map)
 
 
+def _merging(nv, a, b) -> list:
+    """The vertex map of contracting the edge ``(a, b)`` of an ``nv``-vertex
+    graph, as ``graphs.contract_edge`` numbers the target: the two ends go
+    to ``min(a, b)``, and the vertices above ``max(a, b)`` move down one."""
+    ends = list(range(nv - 1))
+    ends.insert(max(a, b), min(a, b))
+    return ends
+
+
 def _admissible_contractions(g, profile: StabilityProfile):
-    """Yield ``(edge, target, subdivider)`` for every contraction in the
-    differential of ``g = (weights, edges, marks, directed)``, an acyclic
-    stable catalog cell; ``target`` is the contracted graph in the same
-    tuple form, equal to ``graphs.contract_edge``'s result.
+    """Yield ``(edge, key, vertex_map, subdivider)`` for every contraction
+    in the differential of ``g = (weights, edges, marks, directed)``, an
+    acyclic stable catalog cell: ``key`` and ``vertex_map`` are what
+    ``canonicalize`` gives for the target ``graphs.contract_edge`` makes,
+    the relabelling as a list.
 
     Never a loop or an edge with a parallel partner: either would raise a
     weight.  The target must be stable and, when directed, acyclic, which is
@@ -186,29 +205,42 @@ def _admissible_contractions(g, profile: StabilityProfile):
     is tested for stability.  Contracting ``a -> b`` closes a directed cycle
     iff another directed path leads from ``a`` to ``b``.  ``subdivider``
     flags an edge leaving a bivalent unmarked double-outgoing source, which
-    the frozen variant leaves uncontracted."""
+    the frozen variant leaves uncontracted.
+
+    No target is built.  It is labelled on the generator's quotient: the
+    generator's vertices numbered through ``_merging``, with the generator's
+    other edges and its marks.  The initial colour values (weight, hair
+    labels, degree) of the unmerged vertices are the generator's, counted
+    once with the admissibility counts; the merged vertex's come from its
+    two ends.  ``canonical._labelling`` ranks and refines them over the
+    quotient's incidence, built only when the initial colouring is not
+    discrete, and searches when refinement leaves a cell of more than one
+    vertex, with the quotient numbered as the target is, so the key and
+    the relabelling are ``canonicalize``'s.  A merged weight past a byte
+    raises ``GraphError``, as ``canonicalize`` would."""
     weights, edges, marks, directed = g
     nv = len(weights)
     # per vertex as is_stable counts them: valence with a loop counted
-    # twice, half-edges in, half-edges out (hairs included)
-    val, n_in, n_out, hair = [0] * nv, [0] * nv, [0] * nv, [0] * nv
+    # twice, half-edges in, half-edges out (hairs included); and the degree
+    # and hair labels of the initial colour
+    deg, n_in, n_out = [0] * nv, [0] * nv, [0] * nv
+    hairs = [[] for _ in range(nv)]
     succ = [[] for _ in range(nv)]
     bundles = {}
     for (u, v) in edges:
-        val[u] += 1
-        val[v] += 1
+        deg[u] += 1
+        deg[v] += 1
         pair = (u, v) if u <= v else (v, u)
         bundles[pair] = bundles.get(pair, 0) + 1
         if directed:
             n_out[u] += 1
             n_in[v] += 1
             succ[u].append(v)
-    for (_, v) in marks:
-        hair[v] += 1
-        val[v] += 1
-        n_out[v] += 1
-    if not directed:
-        n_out = val
+    for (l, v) in sorted(marks):
+        hairs[v].append(l)
+    val = [deg[v] + len(hairs[v]) for v in range(nv)]
+    n_out = [n_out[v] + len(hairs[v]) for v in range(nv)] if directed else val
+    raw = [(weights[v], tuple(hairs[v]), deg[v]) for v in range(nv)]
     d_in, d_out = (1, 1) if directed else (0, 2)
     for e, (a, b) in enumerate(edges):
         if a == b or bundles[(a, b) if a < b else (b, a)] > 1:
@@ -219,17 +251,21 @@ def _admissible_contractions(g, profile: StabilityProfile):
         if directed and _reaches(succ, a, b):
             continue
         lo, hi = (a, b) if a < b else (b, a)
-        relabel = list(range(hi)) + [lo] + list(range(hi, nv - 1))
+        w = weights[a] + weights[b]
+        if w > 255:
+            raise GraphError("graph does not fit the byte encoding")
+        ends = _merging(nv, a, b)
+        rest = edges[:e] + edges[e + 1:]
         tweights = list(weights)
-        tweights[lo] += weights[hi]
+        tweights[lo] = w
         del tweights[hi]
-        tedges = []
-        for (u, v) in edges[:e] + edges[e + 1:]:
-            u, v = relabel[u], relabel[v]
-            tedges.append((u, v) if directed or u <= v else (v, u))
-        tmarks = tuple((l, relabel[v]) for (l, v) in marks)
-        subdivider = directed and hair[a] == 0 and n_in[a] == 0 and n_out[a] == 2
-        yield e, (tuple(tweights), tuple(tedges), tmarks, directed), subdivider
+        traw = raw[:hi] + raw[hi + 1:]
+        traw[lo] = (w, tuple(sorted(hairs[a] + hairs[b])), deg[a] + deg[b] - 2)
+        key, vertex_map, _ = _labelling(
+            traw, lambda: _incidence(nv - 1, rest, directed, ends),
+            lambda perm: _encoded(tweights, rest, marks, perm, directed, ends))
+        subdivider = directed and not hairs[a] and n_in[a] == 0 and n_out[a] == 2
+        yield e, key, vertex_map, subdivider
 
 
 def _reaches(succ, a, b) -> bool:
@@ -250,13 +286,16 @@ def _reaches(succ, a, b) -> bool:
 def _assemble(catalog: GraphCatalog, variants, sign) -> list:
     """The one column loop behind both complexes, returning one complex per
     name in ``variants``.  The column of generator ``g`` in degree ``k``
-    sums ``sign(edges, e, target_edges, vertex_map)`` over the admissible
-    contractions of ``g``, ``vertex_map`` being the canonical relabelling of
-    the target; each contraction is canonicalised once, and a
-    ``subdividers_frozen`` variant skips the subdivider edges.  A target
-    with an orientation-reversing automorphism is zero; one missing from
-    the catalog means the catalog is not closed under contraction, and
-    raises.  The degree parity is the flavour's: 0 marked, 1 oriented."""
+    sums ``sign(edges, e, vertex_map)`` over the admissible contractions of
+    ``g``, ``vertex_map`` being the canonical relabelling of the target;
+    each contraction is labelled once, on the generator's quotient (see
+    ``_admissible_contractions``), and a ``subdividers_frozen`` variant
+    skips the subdivider edges.  Each column is summed in a dict and packed
+    once; the full and the frozen column share one tuple when no
+    subdivider edge contributes.  A target with an orientation-reversing
+    automorphism is zero; one missing from the catalog means the catalog is
+    not closed under contraction, and raises.  The degree parity is the
+    flavour's: 0 marked, 1 oriented."""
     basis, index, killed = {}, {}, set()
     for deg in catalog.degrees():
         basis[deg] = [e.key for e in catalog.strata[deg] if not e.killed]
@@ -269,19 +308,19 @@ def _assemble(catalog: GraphCatalog, variants, sign) -> list:
     where = f"{catalog.flavor}(g={catalog.genus},n={len(catalog.labels)})"
     unfrozen = [v for v in variants if v != "subdividers_frozen"]
     for k in sorted(basis):
-        mats = {v: SparseIntMatrix(len(basis.get(k - 1, ())), len(basis[k]))
-                for v in variants}
+        cols = {v: [] for v in variants}
         for col, key in enumerate(basis[k]):
             g = key_tuples(key)
-            for e, target, subdivider in _admissible_contractions(g, catalog.profile):
-                takers = unfrozen if subdivider else variants
-                if not takers:
+            kept, extra = {}, {}      # subdivider terms go to extra
+            for e, tkey, vertex_map, subdivider in _admissible_contractions(
+                    g, catalog.profile):
+                if subdivider and not unfrozen:
                     continue
-                tkey, vertex_map, _ = canonicalize(*target)
                 pos = index.get(tkey)
                 if pos is None:
                     if tkey in killed:
                         continue
+                    takers = unfrozen if subdivider else variants
                     raise ComplexError(
                         f"{where} degree {k} ({', '.join(takers)}): contracting "
                         f"edge {e} of generator {col} ({decode_key(key)!r}) gives "
@@ -289,11 +328,18 @@ def _assemble(catalog: GraphCatalog, variants, sign) -> list:
                 (kk, row) = pos
                 if kk != k - 1:
                     raise ComplexError("contraction changed the degree by != 1")
-                s = sign(g[1], e, target[1], vertex_map)
-                for v in takers:
-                    mats[v].add(row, col, s)
+                acc = extra if subdivider else kept
+                acc[row] = acc.get(row, 0) + sign(g[1], e, vertex_map)
+            frozen = _pack(kept)
+            if extra:
+                for row, s in extra.items():
+                    kept[row] = kept.get(row, 0) + s
+            full = _pack(kept) if extra else frozen
+            for v in variants:
+                cols[v].append(frozen if v == "subdividers_frozen" else full)
         for cx in cxs:
-            cx.diffs[k] = mats[cx.variant]
+            cx.diffs[k] = _with_cols(len(basis.get(k - 1, ())), len(basis[k]),
+                                     cols[cx.variant])
     for cx in cxs:
         _check_d_squared(cx)
     return cxs

@@ -52,6 +52,7 @@ from array import array
 from collections.abc import ItemsView, Mapping
 from fractions import Fraction
 from functools import partial
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 
 
@@ -299,7 +300,8 @@ def _eliminate(rows, update, pivots=None):
 
     Pivot rule: the shortest live row (lowest index among equals) at its
     sparsest column (fewest live rows, lowest among equals), which keeps
-    fill low; a finished pivot row is dropped.
+    fill low; a finished pivot row is dropped.  The pivot row comes off a
+    heap of the live rows' lengths and indices, not from a scan of them.
 
     The column index keeps, per column, a list of the rows that gained the
     column, and an exact count of the live rows that hold it, which the
@@ -313,19 +315,24 @@ def _eliminate(rows, update, pivots=None):
     live = dict(enumerate(rows))
     rows.clear()
     col_rows = [[] for _ in range(1 + max(map(max, live.values()), default=-1))]
-    by_len = {}
+    n = len(live)
     for ri, r in live.items():
-        by_len.setdefault(len(r), set()).add(ri)
         for j in r:
             col_rows[j].append(ri)
     count = list(map(len, col_rows))
+    # a heap of the live rows by (length, index), as length * n + index,
+    # with an entry pushed whenever a row changes length; an entry whose
+    # row has since been pivoted or changed length is skipped when popped
+    order = [len(r) * n + ri for ri, r in live.items()]
+    heapify(order)
     rank = 0
     while live:
-        length = min(l for l, b in by_len.items() if b)
-        pri = min(by_len[length])
-        piv_row = live.pop(pri)
+        length, pri = divmod(heappop(order), n)
+        piv_row = live.get(pri)
+        if piv_row is None or len(piv_row) != length:
+            continue
+        del live[pri]
         pj = min(piv_row, key=lambda j: (count[j], j))
-        by_len[length].discard(pri)
         rank += 1
         if pivots is not None:
             pivots.append(pj)
@@ -342,10 +349,10 @@ def _eliminate(rows, update, pivots=None):
                 if j not in r:
                     count[j] += 1
                     col_rows[j].append(ri)
-            by_len[len(r)].discard(ri)
             if new:
                 live[ri] = new
-                by_len.setdefault(len(new), set()).add(ri)
+                if len(new) != len(r):
+                    heappush(order, len(new) * n + ri)
             else:
                 del live[ri]
         col_rows[pj] = None

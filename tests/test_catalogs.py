@@ -2,6 +2,7 @@
 import itertools
 import json
 import sys
+import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -347,9 +348,16 @@ def test_each_key_is_decoded_once(tmp_path, monkeypatch, flavor):
 # The contractions both differentials sum over, under the one admissibility rule.
 
 def targets(graph, profile):
-    """``(edge, target, subdivider)`` per contraction, the target as a Graph."""
-    return [(e, Graph(*target), flag)
-            for e, target, flag in _admissible_contractions(graph.key(), profile)]
+    """``(edge, target, subdivider)`` per contraction, the target as a Graph
+    from ``graphs.contract_edge``, whose canonical key and relabelling must
+    be those the assembly labels it with."""
+    out = []
+    for e, key, vertex_map, flag in _admissible_contractions(graph.key(), profile):
+        target = contract_edge(graph, e)
+        cf = canonical_form(target)
+        assert (key, tuple(vertex_map)) == (cf.key, cf.vertex_map)
+        out.append((e, target, flag))
+    return out
 
 
 def test_contraction_targets_corolla_empty():
@@ -428,8 +436,10 @@ def test_catalog_round_trip(tmp_path):
     path = str(tmp_path / "c.json")
     _store(cat, path)
     doc = json.loads(Path(path).read_text())
-    assert sorted(doc) == ["flavor", "genus", "keys", "labels"]
+    assert sorted(doc) == ["count", "crc32", "flavor", "genus", "keys", "labels"]
     assert doc["keys"] == sorted(e.key.hex() for e in cat.entries())
+    assert doc["count"] == cat.total()
+    assert doc["crc32"] == zlib.crc32("".join(k + "\n" for k in doc["keys"]).encode())
     back = load_catalog(path)
     assert (back.flavor, back.genus, back.labels) == ("oriented", 1, labels(2))
     assert cells(back) == cells(cat)
@@ -470,13 +480,21 @@ def test_corrupt_catalog_raises(tmp_path):
         load_catalog(str(tmp_path / "missing.json"))
 
 
+def sealed(doc):
+    """``doc`` with the count and CRC-32 of its keys, so that a corruption
+    of the keys reaches the check it aims at, past the seal."""
+    keys = doc["keys"]
+    return {**doc, "count": len(keys),
+            "crc32": zlib.crc32("".join(k + "\n" for k in keys).encode())}
+
+
 def edit_keys(edit):
     """A corruption of the cache file that replaces its hex keys by
-    ``edit(keys)``."""
+    ``edit(keys)``, sealed again."""
     def corrupt(text):
         doc = json.loads(text)
         doc["keys"] = edit(doc["keys"])
-        return json.dumps(doc)
+        return json.dumps(sealed(doc))
     return corrupt
 
 
@@ -505,7 +523,7 @@ def duplicate_labels(text):
     for key in doc["keys"]:
         w, es, ms, directed = key_tuples(bytes.fromhex(key))
         keys.add(canonicalize(w, es, [(1, v) for (_, v) in ms], directed)[0].hex())
-    return json.dumps({**doc, "labels": [1, 1], "keys": sorted(keys)})
+    return json.dumps(sealed({**doc, "labels": [1, 1], "keys": sorted(keys)}))
 
 
 def relabel_last(keys):
@@ -551,6 +569,34 @@ def test_corrupt_cache_file_is_regenerated(tmp_path, monkeypatch, flavor, corrup
     with pytest.raises(GraphError):
         load_catalog(str(path))
     assert cells(generate_or_load(flavor, 1, labels(2))) == cells(fresh)
+    assert cells(load_catalog(str(path))) == cells(fresh)
+
+
+def test_cache_file_missing_a_cell_is_regenerated(tmp_path, monkeypatch, capsys):
+    # each key of a cache file is checked on its own, so a file that lost
+    # one key used to load as a smaller catalog: at oriented (1, 2), betti
+    # printed dim 3 and Betti 0 in degree 4 and Betti 1 in degree 3, and
+    # exited 0; the count and CRC-32 of the keys now refuse it
+    from ogclab.cli import main
+    args = ["betti", "-g", "1", "-n", "2", "--flavor", "oriented"]
+    monkeypatch.delenv("OGCLAB_CACHE", raising=False)
+    assert main(args) == 0
+    uncached = capsys.readouterr().out
+    assert "oriented,1,2,4,6,4,0" in uncached
+    monkeypatch.setenv("OGCLAB_CACHE", str(tmp_path))
+    fresh = generate_or_load("oriented", 1, labels(2))
+    path = Path(cache_path("oriented", 1, labels(2)))
+    doc = json.loads(path.read_text())
+    dropped = next(k for k in doc["keys"] if bytes.fromhex(k)[1] == 4)
+    partial = dict(doc, keys=[k for k in doc["keys"] if k != dropped])
+    unsealed = {k: v for k, v in doc.items() if k not in ("count", "crc32")}
+    for bad in (partial, unsealed):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(GraphError):
+            load_catalog(str(path))
+    path.write_text(json.dumps(partial))
+    assert main(args) == 0
+    assert capsys.readouterr().out == uncached
     assert cells(load_catalog(str(path))) == cells(fresh)
 
 

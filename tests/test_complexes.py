@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import tracemalloc
+from collections import Counter
 from math import factorial
 from pathlib import Path
 
@@ -15,9 +16,9 @@ import oracle
 import reference_complexes as ref
 import reference_linalg
 
-from ogclab import complexes, linalg
+from ogclab import canonical, complexes, linalg
 
-from ogclab.canonical import canonical_form, canonicalize, decode_key, key_tuples
+from ogclab.canonical import canonical_form, decode_key, key_tuples
 from ogclab.catalogs import generate_marked, generate_oriented
 from ogclab.complexes import (ComplexError, GradedComplex, _admissible_contractions,
                               _check_d_squared, _edge_order_sign, _reaches,
@@ -25,7 +26,8 @@ from ogclab.complexes import (ComplexError, GradedComplex, _admissible_contracti
                               build_marked_complex, build_oriented_complex,
                               build_oriented_complexes,
                               euler_characteristic)
-from ogclab.graphs import contract_edge, is_acyclic, is_stable
+from ogclab.graphs import (Graph, GraphError, StabilityProfile, contract_edge, is_acyclic,
+                           is_stable)
 from ogclab.linalg import RankError, SparseIntMatrix
 
 
@@ -384,31 +386,60 @@ def test_missing_contraction_target_raises(flavor, build):
         build(cat)
 
 
+def labelled_contractions(g, profile, calls):
+    """``_admissible_contractions(g, profile)``, each contraction with the
+    path its labelling took, read off the ``_refine`` and ``_search`` calls
+    counted in ``calls`` while it was labelled: ``"root"`` (discrete at the
+    initial colouring), ``"refined"`` or ``"search"``."""
+    out = []
+    mark = calls.copy()
+    for item in _admissible_contractions(g, profile):
+        kind = ("search" if calls["search"] > mark["search"] else
+                "refined" if calls["refine"] > mark["refine"] else "root")
+        out.append((item, kind))
+        mark = calls.copy()
+    return out
+
+
+def counting(calls, name, fn):
+    def wrapped(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapped
+
+
 @pytest.mark.parametrize("flavor", ["marked", "oriented"])
-def test_tuple_contractions_match_graph_reference(flavor):
+def test_tuple_contractions_match_graph_reference(flavor, monkeypatch):
     # every edge of every cell, killed ones included, against the Graph-based
-    # rule: same admissible edges, targets, subdivider flags and signs, and
-    # the local cycle and stability tests agree with the whole-graph ones.
-    # Contracting a stable weight-0 cell never leaves an unstable vertex, so
-    # here only the cycle test rejects; test_catalogs covers the other one.
+    # rule: same admissible edges and subdivider flags, and the key,
+    # relabelling and sign the assembly labels each target with on the
+    # generator's quotient are canonical_form's on contract_edge's target,
+    # on each path of the labelling; the local cycle and stability tests
+    # agree with the whole-graph ones.  Contracting a stable weight-0 cell
+    # never leaves an unstable vertex, so here only the cycle test rejects;
+    # test_catalogs covers the other one.
     gen, sign, ref_sign = ((generate_marked, _edge_order_sign, ref.edge_order_sign)
                            if flavor == "marked" else
                            (generate_oriented, _vertex_order_sign, ref.vertex_order_sign))
+    calls = Counter()
+    monkeypatch.setattr(canonical, "_refine", counting(calls, "refine", canonical._refine))
+    monkeypatch.setattr(canonical, "_search", counting(calls, "search", canonical._search))
     cycles = 0
+    kinds = Counter()
     for (g, n) in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (0, 3), (0, 4)]:
         cat = gen(g, labels(n))
         for entry in cat.entries():
             graph, tuples = decode_key(entry.key), key_tuples(entry.key)
-            fast = list(_admissible_contractions(tuples, cat.profile))
+            fast = labelled_contractions(tuples, cat.profile, calls)
             slow = list(ref.admissible_contractions(graph, cat.profile))
-            assert [(e, flag) for e, _, flag in fast] == [(e, flag) for e, _, flag in slow]
-            for (e, target, _), (_, ref_target, _) in zip(fast, slow):
-                assert target == ref_target.key()
-                key, vertex_map, _ = canonicalize(*target)
+            assert [(e, flag) for (e, _, _, flag), _ in fast] == \
+                [(e, flag) for e, _, flag in slow]
+            for ((e, key, vertex_map, _), kind), (_, ref_target, _) in zip(fast, slow):
                 cf = canonical_form(ref_target)
-                assert key == cf.key
-                assert sign(tuples[1], e, target[1], vertex_map) == ref_sign(graph, e, cf)
-            admitted = {e for e, _, _ in fast}
+                assert (key, tuple(vertex_map)) == (cf.key, cf.vertex_map)
+                assert sign(tuples[1], e, vertex_map) == ref_sign(graph, e, cf)
+                kinds[kind] += 1
+            admitted = {e for (e, _, _, _), _ in fast}
             succ = [[v for (u, v) in graph.edges if u == x] for x in range(graph.n_vertices)]
             for e, (a, b) in enumerate(graph.edges):
                 if a == b or graph.parallel_count(e):
@@ -422,3 +453,15 @@ def test_tuple_contractions_match_graph_reference(flavor):
                     assert _reaches(succ, a, b) == (not acyclic)
                 cycles += not acyclic
     assert cycles > 0 if flavor == "oriented" else cycles == 0
+    assert kinds.keys() == {"root", "refined", "search"}
+
+
+def test_merged_weight_past_a_byte_raises():
+    # the contraction labelling refuses what canonicalize refuses on the
+    # contracted graph: here a merged weight of 300
+    heavy = ((200, 100), ((0, 1),), ((1, 0),), False)
+    profile = StabilityProfile("weighted", min_valence={})
+    with pytest.raises(GraphError, match="byte encoding"):
+        list(_admissible_contractions(heavy, profile))
+    with pytest.raises(GraphError, match="byte encoding"):
+        canonical_form(contract_edge(Graph(*heavy), 0))

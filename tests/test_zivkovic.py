@@ -1,5 +1,7 @@
 """Spanning-forest correspondence: the orientation functor, the chain map,
 and the induced isomorphism on cohomology."""
+from collections import Counter
+
 import pytest
 
 import reference_linalg
@@ -212,6 +214,20 @@ def test_quasi_iso_fails_at_genus_zero_with_clumped_labels():
     _, completed = verify_chain_map(psi, mx, full, frozen)
     report = verify_quasi_iso(completed, mx, full)
     assert not report.passed
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_no_genus_zero_generator_has_a_spanning_forest(n):
+    # a stable genus-0 tree on v vertices has valences summing to
+    # 2(v - 1) + n >= 3v, so v <= n - 2: some vertex carries two markings
+    # (the one-vertex corolla all n), and no forest isolates each marking
+    cat = generate_marked(0, tuple(range(1, n + 1)))
+    assert cat.total() > 0
+    for entry in cat.entries():
+        graph = entry.graph
+        assert graph.n_vertices <= n - 2
+        assert max(Counter(v for (_, v) in graph.marks).values()) >= 2
+        assert spanning_forests(graph) == []
 
 
 def kernel_induced_rank(psi_k, marked, oriented, k):
