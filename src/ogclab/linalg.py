@@ -9,14 +9,14 @@ leading columns, and so their answers, do not depend on the row order.  Only
 the row update differs by field: over the integers it is fraction-free
 (cross-multiply, then divide by the row's content gcd; Bareiss, Math. Comp.
 1968), over Z/p it subtracts a multiple of the pivot row scaled by the
-pivot's inverse.  The consensus mode takes ``CONSENSUS_PRIMES`` random
+pivot's inverse.  The consensus check takes ``CONSENSUS_PRIMES`` random
 31-bit primes and eliminates them jointly, in one run of the loop modulo
 their product, each pivot a unit modulo every prime; a pivot or a
 denominator that shares a factor with the product falls back to one
-elimination per prime.  ``rank`` escalates to the rational computation
-unless the modular ranks agree unanimously, and ``check_consensus`` asserts
-that each equals the rational rank.  Every elimination can report its pivot
-columns.
+elimination per prime.  Every rank the pipeline reports comes from
+``_field_ranks``, through ``GradedComplex``'s sweep or ``check_consensus``,
+which asserts that each modular rank equals the rational rank; ``rank`` is
+the rational rank alone.  Every elimination can report its pivot columns.
 
 Along a chain complex the ranks are compressed (``_field_ranks``; Bauer,
 Kerber & Reininghaus, *Clear and compress*, 2013, the dual of the clearing
@@ -163,19 +163,9 @@ class SparseIntMatrix:
 
     # -- ranks --------------------------------------------------------------
 
-    def rank(self, strategy="consensus", seed=0):
-        """Rank over Q.  ``strategy`` is ``"rational"``, ``("modular", p)``
-        or ``"consensus"`` (the ``CONSENSUS_PRIMES`` random primes drawn
-        from ``seed`` unanimous, else escalate)."""
-        rows = list(self.rows().values())
-        if strategy == "rational":
-            return _rank_rational(rows)
-        if isinstance(strategy, tuple) and strategy[0] == "modular":
-            return _rank_modular(rows, strategy[1])
-        if strategy == "consensus":
-            ranks = set(_consensus_ranks(rows, _random_primes(seed)))
-            return ranks.pop() if len(ranks) == 1 else _rank_rational(rows)
-        raise ValueError(f"unknown rank strategy: {strategy}")
+    def rank(self):
+        """Rank over Q, by the rational elimination alone."""
+        return _rank_rational(list(self.rows().values()))
 
     def check_consensus(self, seed=0, name="matrix"):
         """Assert that the rank modulo each of the ``CONSENSUS_PRIMES``
@@ -498,13 +488,11 @@ def _rows_mod(rows, m):
 
 
 def _rank_modular(rows, p, pivots=None):
-    """Rank of the row dicts over Z/p: the Markowitz loop with the pivot
-    row scaled by its inverse; the pivot columns go to ``pivots`` when
-    given.  At most the rational rank.  The consensus ranks eliminate their
-    primes jointly modulo the product (``_consensus_ranks``) and fall back
-    to this rank, prime by prime."""
-    if not _is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+    """Rank of the row dicts over Z/p, ``p`` prime: the Markowitz loop with
+    the pivot row scaled by its inverse; the pivot columns go to ``pivots``
+    when given.  At most the rational rank.  The consensus ranks eliminate
+    their primes jointly modulo the product (``_consensus_ranks``) and fall
+    back to this rank, prime by prime."""
     reduced = _rows_mod(rows, p)
     if reduced is None:
         raise RankError(f"prime {p} divides a denominator")
@@ -669,12 +657,15 @@ def solve_columns(D: SparseIntMatrix, C: SparseIntMatrix):
 
 # -- MatrixMarket coordinate io -------------------------------------------------
 
+_MM_HEADER = "%%MatrixMarket matrix coordinate integer general"
+
+
 def write_matrix_market(m: SparseIntMatrix, path: str, comment: str = "") -> None:
     entries = sorted(m.entries.items())
     if any(type(v) is not int for _, v in entries):
         raise ValueError("MatrixMarket integer export needs integer entries")
     with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate integer general\n")
+        fh.write(_MM_HEADER + "\n")
         if comment:
             fh.write(f"%{comment}\n")
         fh.write(f"{m.nrows} {m.ncols} {len(entries)}\n")
@@ -683,9 +674,11 @@ def write_matrix_market(m: SparseIntMatrix, path: str, comment: str = "") -> Non
 
 
 def read_matrix_market(path: str) -> SparseIntMatrix:
+    """Read a ``general`` file; any other symmetry stores one triangle, and
+    reading it as general would lose the mirrored entries."""
     with open(path) as fh:
         header = fh.readline()
-        if "matrix coordinate integer" not in header:
+        if header.lower().split() != _MM_HEADER.lower().split():
             raise ValueError(f"unsupported MatrixMarket header: {header.strip()}")
         line = fh.readline()
         while line.startswith("%"):

@@ -25,7 +25,7 @@ from .catalogs import (GraphCatalog, generate_or_load, spanning_forests)
 from .complexes import (GradedComplex, betti, betti_shift_matches,
                         build_marked_complex, build_oriented_complexes,
                         euler_characteristic)
-from .linalg import SparseIntMatrix, _without_rows, solve_columns
+from .linalg import SparseIntMatrix, _pairs, _with_cols, _without_rows, solve_columns
 
 
 @dataclass
@@ -194,9 +194,9 @@ def complete_chain_map(psi: dict, marked: GradedComplex, oriented: GradedComplex
                        eps: int = 1):
     """Add an exact lower-order correction so the family commutes with the
     full oriented differential: solve ``D phi_k = eps phi_{k-1} d_k - r_k``
-    bottom-up, each system on the rows the oriented rank sweep leaves
-    (``_solve_in_kernel``).  Returns ``(completed family, solvable, support
-    sizes)``."""
+    bottom-up on the rows the oriented rank sweep leaves, unsolvable when the
+    right side is no cycle of the differential below (``_solve_in_kernel``).
+    Returns ``(completed family, solvable, support sizes)``."""
     n = len(marked.labels)
     completed = {k: m.copy() for k, m in psi.items()}
     support = {}
@@ -221,22 +221,22 @@ def complete_chain_map(psi: dict, marked: GradedComplex, oriented: GradedComplex
 def _solve_in_kernel(oriented: GradedComplex, deg: int, target: SparseIntMatrix):
     """``solve_columns(D, C)`` for ``D = D_deg``, on the rows of ``[D | C]``
     outside the pivot columns Q of the rational elimination of
-    ``D_{deg-1}`` in the oriented rank sweep, when ``D_{deg-1} C = 0``.
+    ``D_{deg-1}`` in the oriented rank sweep.  ``None`` when ``D_{deg-1} C``
+    is not zero: ``D_{deg-1} D = 0`` holds on the nose
+    (``complexes._check_d_squared``), so ``D X = C`` has no solution then.
 
-    Every column of ``D`` lies in ``ker D_{deg-1}``, since ``D_{deg-1} D =
-    0``, and every column of ``C`` does when ``D_{deg-1} C = 0``; once the
-    lower degrees are completed that always holds.  The columns Q of
-    ``D_{deg-1}`` are independent, so on that kernel the coordinates in Q
-    are fixed by the others: deleting the rows Q is injective on the span
-    of the columns of ``[D | C]`` and keeps every linear relation among
-    them.  So the leading columns of an echelon form, the solution
-    supported on them, and whether one exists, are those of the full
-    system.  When ``D_{deg-1} C`` is not zero the full system is solved."""
-    big = oriented.differential(deg)
+    Every column of ``D`` lies in ``ker D_{deg-1}``, and so does every
+    column of ``C`` once ``D_{deg-1} C = 0``; once the lower degrees are
+    completed that always holds.  The columns Q of ``D_{deg-1}`` are
+    independent, so on that kernel the coordinates in Q are fixed by the
+    others: deleting the rows Q is injective on the span of the columns of
+    ``[D | C]`` and keeps every linear relation among them.  So the leading
+    columns of an echelon form, the solution supported on them, and whether
+    one exists, are those of the full system."""
     if not (oriented.differential(deg - 1) * target).is_zero():
-        return solve_columns(big, target)
+        return None
     q = oriented._pivot_columns(deg - 1)
-    return solve_columns(_without_rows(big, q), _without_rows(target, q))
+    return solve_columns(_without_rows(oriented.differential(deg), q), _without_rows(target, q))
 
 
 def verify_chain_map(psi: dict, marked: GradedComplex,
@@ -293,16 +293,19 @@ class QuasiIsoReport:
 def _induced_rank(psi_k, marked, oriented, k, seed=0):
     """Rank of ``psi_k`` from marked ``H_k`` to oriented ``H_{k+n}``: the block
     ``[[d_k, 0], [psi_k, D_{k+n+1}]]`` has kernel ``{(x, y) : d x = 0,
-    psi x + D y = 0}``, so it is the block's rank less those of d and D."""
+    psi x + D y = 0}``, so it is the block's rank less those of d and D.
+    The block is ranked by ``check_consensus``, like every differential."""
     n = len(marked.labels)
     d = marked.differential(k)
     bnd = oriented.differential(k + n + 1)
-    block = SparseIntMatrix(d.nrows + bnd.nrows, d.ncols + bnd.ncols, d.entries)
-    for (i, j), v in psi_k.entries.items():
-        block[i + d.nrows, j] = v
-    for (i, j), v in bnd.entries.items():
-        block[i + d.nrows, j + d.ncols] = v
-    return (block.rank("rational") - marked.rank_of_differential(k, seed=seed)
+
+    def below_d(col):
+        return tuple(x for i, v in _pairs(col) for x in (i + d.nrows, v))
+    cols = [a + below_d(b) for a, b in zip(d.cols, psi_k.cols)] + list(map(below_d, bnd.cols))
+    block = _with_cols(d.nrows + bnd.nrows, d.ncols + bnd.ncols, cols)
+    name = f"quasi-iso block [[d_{k}, 0], [psi_{k}, D_{k + n + 1}]]"
+    return (block.check_consensus(seed=seed, name=name)
+            - marked.rank_of_differential(k, seed=seed)
             - oriented.rank_of_differential(k + n + 1, seed=seed))
 
 
@@ -378,6 +381,7 @@ def run_verification(g: int, labels, threads: int = 1, seed: int = 0,
     t0 = time.time()
     marked = build_marked_complex(mcat)
     or_full, or_frozen = build_oriented_complexes(ocat)
+    del mcat, ocat      # nothing after assembly reads the catalogs
     timings["complexes"] = time.time() - t0
     t0 = time.time()
     mt = betti(marked, seed=seed)

@@ -1,5 +1,6 @@
 """Spanning-forest correspondence: the orientation functor, the chain map,
 and the induced isomorphism on cohomology."""
+import re
 from collections import Counter
 
 import pytest
@@ -11,8 +12,8 @@ from ogclab.graphs import (Graph, GraphError, StabilityProfile, contract_edge,
 from ogclab.canonical import canonical_form
 from ogclab.catalogs import generate_marked, generate_oriented, spanning_forests
 from ogclab.complexes import build_marked_complex, build_oriented_complexes
-from ogclab import zivkovic
-from ogclab.linalg import SparseIntMatrix, _without_rows, multiply, solve_columns
+from ogclab import linalg, zivkovic
+from ogclab.linalg import RankError, SparseIntMatrix, _without_rows, multiply, solve_columns
 from ogclab.zivkovic import (_induced_rank, _solve_in_kernel, forest_orient,
                              psi_matrix, run_verification, verify_chain_map,
                              verify_quasi_iso)
@@ -172,16 +173,21 @@ def test_compressed_completion_solve_matches_full_system(g, n, support, monkeypa
     assert any(dropped)
 
 
-def test_completion_solve_outside_the_kernel_takes_the_full_system():
+def test_completion_solve_outside_the_kernel_is_unsolvable(monkeypatch):
     # a unit vector at a pivot column of D_{deg-1} lies outside ker D_{deg-1},
     # so outside the span of D_deg: the full system has no solution, while
-    # on the compressed rows it would be the zero column, which solves
+    # on the compressed rows it would be the zero column, which solves; the
+    # product D_{deg-1} C alone says so, and nothing is solved
     _, full, _ = stack(1, 3)
     deg = next(d for d in full.degrees() if len(full._pivot_columns(d - 1)))
     q = full._pivot_columns(deg - 1)
     target = SparseIntMatrix(full.dim(deg - 1), 1, {(q[0], 0): 1})
     assert not (full.differential(deg - 1) * target).is_zero()
+    solves = []
+    monkeypatch.setattr(zivkovic, "solve_columns", lambda *a: solves.append(a))
     assert _solve_in_kernel(full, deg, target) is None
+    assert not solves
+    assert solve_columns(full.differential(deg), target) is None
     assert solve_columns(_without_rows(full.differential(deg), q),
                          _without_rows(target, q)) is not None
 
@@ -244,7 +250,7 @@ def kernel_induced_rank(psi_k, marked, oriented, k):
     both = SparseIntMatrix(pz.nrows, pz.ncols + bnd.ncols, pz.entries)
     for (i, j), v in bnd.entries.items():
         both[i, j + pz.ncols] = v
-    return both.rank("rational") - bnd.rank("rational")
+    return both.rank() - bnd.rank()
 
 
 @pytest.mark.parametrize("g,n", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1),
@@ -269,6 +275,41 @@ def test_block_rank_matches_kernel_projection(g, n):
         assert not report.passed
     else:
         assert report.passed
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_quasi_iso_blocks_are_consensus_checked(seed, monkeypatch):
+    # each block [[d_k, 0], [psi_k, D_{k+n+1}]] is ranked by check_consensus
+    # with the run's seed, and a disagreement there names the block
+    g, n = 1, 3
+    mx, full, frozen = stack(g, n)
+    _, completed = verify_chain_map(psi_matrix(mx, full), mx, full, frozen)
+    check = SparseIntMatrix.check_consensus
+    calls = []
+
+    def counted(m, seed=0, name="matrix"):
+        calls.append((m.nrows, m.ncols, seed, name))
+        return check(m, seed=seed, name=name)
+    monkeypatch.setattr(SparseIntMatrix, "check_consensus", counted)
+    report = verify_quasi_iso(completed, mx, full, seed=seed)
+    assert report.passed
+    ranked = [row["marked_degree"] for row in report.per_degree
+              if row["h_marked"] or row["h_oriented"]]
+    assert ranked
+    assert calls == [(mx.dim(k - 1) + full.dim(k + n), mx.dim(k) + full.dim(k + n + 1),
+                      seed, f"quasi-iso block [[d_{k}, 0], [psi_{k}, D_{k + n + 1}]]")
+                     for k in ranked]
+
+    field_ranks = linalg._field_ranks
+
+    def off_by_one(m, primes, drop=None):
+        modular, rational, pivots = field_ranks(m, primes, drop)
+        return [modular[0] + 1, *modular[1:]], rational, pivots
+    monkeypatch.setattr(linalg, "_field_ranks", off_by_one)
+    k = ranked[0]
+    with pytest.raises(RankError, match=re.escape(
+            f"quasi-iso block [[d_{k}, 0], [psi_{k}, D_{k + n + 1}]]: modular ranks")):
+        verify_quasi_iso(completed, mx, full, seed=seed)
 
 
 def test_naturality_under_label_renaming():
