@@ -29,7 +29,6 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter
-from itertools import chain
 from math import factorial
 
 from .graphs import Graph, GraphError
@@ -55,15 +54,10 @@ def perm_parity(seq) -> int:
 
 # -- byte keys ----------------------------------------------------------------
 
-def encode_key(weights, edges, marks, directed) -> bytes:
-    """Byte key of a graph given as tuples; ``canonicalize`` checks that its
-    values fit in a byte."""
-    return bytes([1 if directed else 0, len(weights), len(edges), len(marks),
-                  *weights, *chain.from_iterable(edges), *chain.from_iterable(marks)])
-
-
 def key_tuples(key: bytes):
-    """``(weights, edges, marks, directed)`` of a key, as tuples."""
+    """``(weights, edges, marks, directed)`` of a key, as tuples.  A key is
+    the bytes directed, vertex count, edge count, mark count, then the
+    weights, then each edge and each mark as a byte pair (``_encoded``)."""
     nv, ne, nm = key[1], key[2], key[3]
     e0 = 4 + nv
     # a list, not tuple(zip(...)), which raised the peak RSS of
@@ -89,7 +83,7 @@ def _encoded(weights, edges, marks, perm, directed, ends=None):
     if ends is not None:
         perm = list(map(perm.__getitem__, ends))
     # each edge and mark as one 16-bit int, byte pair (x, y) as x << 8 | y,
-    # which sort as the pairs do and pack big-endian into encode_key's bytes
+    # which sort as the pairs do and pack big-endian into the key's bytes
     es = [perm[u] << 8 | perm[v] for (u, v) in edges]
     if not directed:
         es = [x if x >> 8 <= x & 255 else (x & 255) << 8 | x >> 8 for x in es]
@@ -264,6 +258,7 @@ def _search(nv, inc, colors, encode):
         return None
 
     visit(colors)
+    del visit       # cut visit's self-reference, so refcounting frees the tree
     return best[0], best[1], gens
 
 

@@ -73,8 +73,12 @@ class GraphCatalog:
     flavor: str
     genus: int
     labels: tuple
-    profile: StabilityProfile
     strata: dict = field(default_factory=dict)   # degree -> [CatalogEntry]
+
+    @property
+    def profile(self) -> StabilityProfile:
+        """The stability profile of the flavour."""
+        return _PROFILES[self.flavor]
 
     def degrees(self):
         return sorted(self.strata)
@@ -99,9 +103,6 @@ def _check_pair(g: int, labels) -> tuple:
 
 
 # -- stage one: cores ----------------------------------------------------------
-
-_core_cache = {}
-
 
 def connected_cores(nv: int, ne: int, max_b1: int, allow_loops: bool,
                     flavor: str | None = None, budget: int | None = None):
@@ -130,10 +131,6 @@ def connected_cores(nv: int, ne: int, max_b1: int, allow_loops: bool,
     complete: the cores returned are those of the unpruned call whose
     vertices need at most ``budget`` markings together.
     """
-    cache_key = (nv, ne, max_b1, allow_loops, flavor, budget)
-    hit = _core_cache.get(cache_key)
-    if hit is not None:
-        return hit
     prune = budget is not None
 
     def hopeless(edges, left):
@@ -145,7 +142,6 @@ def connected_cores(nv: int, ne: int, max_b1: int, allow_loops: bool,
         return _least_need(flavor, needy, 2 * left) > budget
 
     if ne < nv - 1 or prune and hopeless((), ne):
-        _core_cache[cache_key] = []
         return []
     if allow_loops:
         pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
@@ -170,7 +166,6 @@ def connected_cores(nv: int, ne: int, max_b1: int, allow_loops: bool,
     for edges, gens in sorted(level, key=lambda entry: entry[0]):
         if len(edges) - _b1_bound(nv, edges) == nv - 1:     # connected
             out.append((edges, group_closure(gens, nv)))
-    _core_cache[cache_key] = out
     return out
 
 
@@ -254,7 +249,10 @@ def _assignments(nv, nlabels, minima):
             if d:
                 needs[v] += 1
 
-    yield from rec(0, total)
+    try:
+        yield from rec(0, total)
+    finally:
+        del rec     # cut rec's self-reference, so refcounting frees it
 
 
 def _orbit_minimal(vec, perms):
@@ -294,7 +292,7 @@ def _generate(flavor, g, labels, max_cells):
                     if max_cells is not None and len(found) > max_cells:
                         raise ResourceCapExceeded(
                             f"{flavor} catalog for (g={g}, n={n}) exceeds {max_cells} cells")
-    return _build_catalog(flavor, g, labels, profile,
+    return _build_catalog(flavor, g, labels,
                           ((key, key_tuples(key), found[key]) for key in sorted(found)))
 
 
@@ -459,12 +457,13 @@ def _oriented_decorations(nv, core, labels, profile):
             results.append((key, gens))
 
     rec(0, 0)
+    del rec         # cut rec's self-reference, so refcounting frees it
     return results
 
 
 # -- shared assembly -----------------------------------------------------------------
 
-def _build_catalog(flavor, g, labels, profile, cells):
+def _build_catalog(flavor, g, labels, cells):
     """Catalog from ``cells``, triples ``(canonical key, its key_tuples,
     automorphism generators)`` in key order.  The degree is read off the key
     header: the edge count for marked cells, the vertex count for oriented
@@ -473,8 +472,7 @@ def _build_catalog(flavor, g, labels, profile, cells):
     for key, cell, gens in cells:
         deg = key[2] if flavor == "marked" else key[1]
         strata.setdefault(deg, []).append(_entry(flavor, key, cell, gens))
-    return GraphCatalog(flavor=flavor, genus=g, labels=labels,
-                        profile=profile, strata=strata)
+    return GraphCatalog(flavor=flavor, genus=g, labels=labels, strata=strata)
 
 
 def _entry(flavor, key, cell, gens):
@@ -581,7 +579,7 @@ def load_catalog(path: str) -> GraphCatalog:
                                  f"cell of genus {g} with labels {labels}")
             return key, cell, gens
 
-        return _build_catalog(flavor, g, labels, profile, map(checked, keys))
+        return _build_catalog(flavor, g, labels, map(checked, keys))
     except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
         raise GraphError(f"cannot read catalog at {path}: {exc!r}") from exc
 

@@ -61,13 +61,16 @@ class GradedComplex:
     flavor: str
     genus: int
     labels: tuple
-    d_parity: int
     basis: dict = field(default_factory=dict)     # degree -> [canonical key]
     diffs: dict = field(default_factory=dict)     # degree -> C_k -> C_{k-1}
     variant: str = "full"
     _index: dict = field(default_factory=dict, repr=False)
     _ranks: dict = field(default_factory=dict, repr=False)
     _pivots: dict = field(default_factory=dict, repr=False)   # degree -> rational Q
+
+    @property
+    def d_parity(self) -> int:
+        return 1 if self.flavor == "oriented" else 0
 
     def degrees(self):
         return sorted(self.basis)
@@ -294,16 +297,14 @@ def _assemble(catalog: GraphCatalog, variants, sign) -> list:
     once; the full and the frozen column share one tuple when no
     subdivider edge contributes.  A target with an orientation-reversing
     automorphism is zero; one missing from the catalog means the catalog is
-    not closed under contraction, and raises.  The degree parity is the
-    flavour's: 0 marked, 1 oriented."""
+    not closed under contraction, and raises."""
     basis, index, killed = {}, {}, set()
     for deg in catalog.degrees():
         basis[deg] = [e.key for e in catalog.strata[deg] if not e.killed]
         killed.update(e.key for e in catalog.strata[deg] if e.killed)
         index.update((key, (deg, i)) for i, key in enumerate(basis[deg]))
-    d_parity = 0 if catalog.flavor == "marked" else 1
     cxs = [GradedComplex(flavor=catalog.flavor, genus=catalog.genus,
-                         labels=catalog.labels, d_parity=d_parity, basis=basis,
+                         labels=catalog.labels, basis=basis,
                          variant=variant, _index=index) for variant in variants]
     where = f"{catalog.flavor}(g={catalog.genus},n={len(catalog.labels)})"
     unfrozen = [v for v in variants if v != "subdividers_frozen"]
@@ -371,9 +372,12 @@ class BettiTable:
     flavor: str
     genus: int
     labels: tuple
-    d_parity: int
     dims: dict
     betti: dict
+
+    @property
+    def d_parity(self) -> int:
+        return 1 if self.flavor == "oriented" else 0
 
     def rows(self):
         n = len(self.labels)
@@ -406,7 +410,7 @@ def betti(cx: GradedComplex, seed: int = 0) -> BettiTable:
         if table[k] < 0:
             raise ComplexError(f"negative Betti number at degree {k}")
     return BettiTable(flavor=cx.flavor, genus=cx.genus, labels=cx.labels,
-                      d_parity=cx.d_parity, dims=dims, betti=table)
+                      dims=dims, betti=table)
 
 
 def euler_characteristic(cx: GradedComplex, table: BettiTable | None = None,

@@ -388,9 +388,11 @@ def _back_substitute(lead, x):
 
 def _fraction_free_update(piv_row, pj):
     """Over Z: ``piv * row - row[pj] * piv_row``, divided by its content.
-    With ``piv`` 1 the row is copied, not scaled."""
+    A -1 pivot row is negated first, so with ``piv`` ±1 the row is copied."""
     piv = piv_row[pj]
     rest = [(j, v) for j, v in piv_row.items() if j != pj]
+    if piv == -1:       # each reduced row then comes out negated
+        piv, rest = 1, [(j, -v) for j, v in rest]
 
     def eliminate(row):
         a = row[pj]

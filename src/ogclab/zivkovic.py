@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph, GraphError, genus
 from .canonical import canonical_form, perm_parity
-from .catalogs import (GraphCatalog, generate_or_load, spanning_forests)
+from .catalogs import generate_or_load, spanning_forests
 from .complexes import (GradedComplex, betti, betti_shift_matches,
                         build_marked_complex, build_oriented_complexes,
                         euler_characteristic)

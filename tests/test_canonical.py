@@ -9,9 +9,9 @@ import oracle
 import reference_canon
 
 from ogclab.graphs import Graph, GraphError
-from ogclab.canonical import (canonical_form, canonicalize, decode_key,
-                              edge_orientation_killed, encode_key,
-                              group_closure, induced_edge_map, perm_parity)
+from ogclab.canonical import (_encoded, canonical_form, canonicalize, decode_key,
+                              edge_orientation_killed, group_closure,
+                              induced_edge_map, perm_parity)
 from ogclab.catalogs import connected_cores
 
 
@@ -53,8 +53,9 @@ def test_key_round_trip():
     for g in SAMPLES:
         cf = canonical_form(g)
         assert decode_key(cf.key) == cf.graph
-        assert encode_key(cf.graph.weights, cf.graph.edges, cf.graph.marks,
-                          cf.graph.directed) == cf.key
+        identity = list(range(cf.graph.n_vertices))
+        assert _encoded(cf.graph.weights, cf.graph.edges, cf.graph.marks,
+                        identity, cf.graph.directed) == cf.key
 
 
 def test_canonical_is_idempotent():

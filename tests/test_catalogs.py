@@ -1,7 +1,9 @@
 """Catalog generation, spanning forests, contraction targets, persistence."""
+import gc
 import itertools
 import json
 import sys
+import types
 import zlib
 from collections import Counter
 from pathlib import Path
@@ -15,7 +17,7 @@ import reference_catalogs
 import ogclab.catalogs as catalogs
 from ogclab.graphs import (Graph, GraphError, StabilityProfile, contract_edge,
                            genus, is_acyclic, is_stable)
-from ogclab.canonical import canonical_form, canonicalize, encode_key, key_tuples
+from ogclab.canonical import _encoded, canonical_form, canonicalize, key_tuples
 from ogclab.catalogs import (ResourceCapExceeded, _build_catalog, _core_need,
                              _min_hairs, _store, cache_path, connected_cores,
                              generate_marked, generate_or_load, generate_oriented,
@@ -271,7 +273,7 @@ def reference_oriented_catalog(g, n):
             for key, gens in reference_catalogs.oriented_decorations(
                     nv, core, labels(n), profile):
                 found.setdefault(key, gens)
-    return _build_catalog("oriented", g, labels(n), profile,
+    return _build_catalog("oriented", g, labels(n),
                           ((key, key_tuples(key), found[key]) for key in sorted(found)))
 
 
@@ -283,7 +285,7 @@ def test_orbit_pruned_decorations_give_the_reference_catalog(g, n):
 def test_generation_counts_at_one_four(monkeypatch):
     # deterministic counts catch a lost prune where timings would not: one
     # decoration canonicalisation per cell, and the core canonicalisations
-    # of budget-pruned growth from an empty core cache (5,884 unpruned)
+    # of budget-pruned growth (5,884 unpruned)
     counts = Counter()
     inside = []
 
@@ -299,7 +301,6 @@ def test_generation_counts_at_one_four(monkeypatch):
         return canonicalize(*args)
 
     canonicalize = catalogs.canonicalize
-    monkeypatch.setattr(catalogs, "_core_cache", {})
     monkeypatch.setattr(catalogs, "connected_cores", counting_cores)
     monkeypatch.setattr(catalogs, "canonicalize", counting_canonicalize)
     found = {}
@@ -431,6 +432,26 @@ def cells(cat):
             for deg in cat.degrees()}
 
 
+def test_labelling_and_generation_leave_no_reference_cycles():
+    # the recursive closures of the search and the decorators cut their
+    # self-references, so refcounting frees them and the cyclic collector
+    # finds no ogclab function
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        square = ((0, 1), (1, 2), (2, 3), (0, 3))
+        assert canonicalize((0,) * 4, square, (), False)[2]    # searched
+        generate_marked(1, labels(2))
+        generate_oriented(1, labels(2))
+        gc.collect()
+        left = [f"{o.__module__}.{o.__qualname__}" for o in gc.garbage
+                if isinstance(o, types.FunctionType) and o.__module__.startswith("ogclab")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
+
+
 def test_catalog_round_trip(tmp_path):
     cat = generate_oriented(1, labels(2))
     path = str(tmp_path / "c.json")
@@ -531,8 +552,7 @@ def relabel_last(keys):
     which is not canonical."""
     w, es, ms, directed = key_tuples(bytes.fromhex(keys[-1]))
     top = len(w) - 1
-    key = encode_key(w[::-1], sorted((top - u, top - v) for (u, v) in es),
-                     [(l, top - v) for (l, v) in ms], directed).hex()
+    key = _encoded(w, es, ms, [top - v for v in range(len(w))], directed).hex()
     assert key != keys[-1]
     return keys[:-1] + [key]
 

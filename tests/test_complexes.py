@@ -19,8 +19,9 @@ import reference_linalg
 from ogclab import canonical, complexes, linalg
 
 from ogclab.canonical import canonical_form, decode_key, key_tuples
-from ogclab.catalogs import generate_marked, generate_oriented
-from ogclab.complexes import (ComplexError, GradedComplex, _admissible_contractions,
+from ogclab.catalogs import (GraphCatalog, _store, generate_marked, generate_oriented,
+                             load_catalog)
+from ogclab.complexes import (BettiTable, ComplexError, GradedComplex, _admissible_contractions,
                               _check_d_squared, _edge_order_sign, _reaches,
                               _vertex_order_sign, betti, betti_shift_matches,
                               build_marked_complex, build_oriented_complex,
@@ -120,6 +121,33 @@ def test_betti_invariant_under_label_renaming():
     a = betti(build_marked_complex(generate_marked(1, (1, 2, 3)))).betti
     b = betti(build_marked_complex(generate_marked(1, (4, 7, 9)))).betti
     assert a == b
+
+
+@pytest.mark.parametrize("flavor", ["marked", "oriented"])
+def test_profile_and_parity_are_the_flavours(tmp_path, flavor):
+    # the stability profile and the degree parity are read off the flavour,
+    # on generated and loaded catalogs, their complexes and Betti tables
+    gen = generate_marked if flavor == "marked" else generate_oriented
+    path = str(tmp_path / "c.json")
+    _store(gen(1, (1, 2)), path)
+    parity = 1 if flavor == "oriented" else 0
+    for cat in (gen(1, (1, 2)), load_catalog(path)):
+        assert cat.profile == getattr(StabilityProfile, flavor)()
+        cxs = ((build_marked_complex(cat),) if flavor == "marked"
+               else build_oriented_complexes(cat))
+        for cx in cxs:
+            table = betti(cx)
+            assert cx.d_parity == table.d_parity == parity
+            # hc = cell - g(1 - d) + n, at g = 1 and n = 2
+            assert [r["hc_degree"] - r["cell_degree"] for r in table.rows()] \
+                == [2 - (1 - parity)] * len(table.dims)
+    # and no constructor takes them
+    with pytest.raises(TypeError):
+        GraphCatalog(flavor=flavor, genus=1, labels=(1, 2), profile=cat.profile)
+    with pytest.raises(TypeError):
+        GradedComplex(flavor=flavor, genus=1, labels=(1, 2), d_parity=parity)
+    with pytest.raises(TypeError):
+        BettiTable(flavor=flavor, genus=1, labels=(1, 2), d_parity=parity, dims={}, betti={})
 
 
 def test_flavor_mismatch_rejected():
@@ -291,7 +319,7 @@ def chain_complex(mats):
     """The chain complex with differentials ``mats`` in degrees 1, 2, ..."""
     basis = {0: list(range(mats[0].nrows))}
     basis.update((k, list(range(m.ncols))) for k, m in enumerate(mats, 1))
-    return GradedComplex(flavor="random", genus=0, labels=(), d_parity=0, basis=basis,
+    return GradedComplex(flavor="random", genus=0, labels=(), basis=basis,
                          diffs=dict(enumerate(mats, 1)))
 
 

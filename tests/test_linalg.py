@@ -173,6 +173,23 @@ def logged_run(eliminate, rows, update, norm):
         return None, log
 
 
+def test_minus_one_pivot_row_is_negated_once():
+    # a -1 pivot reduces a row as its negated pivot row, a +1 pivot, does:
+    # copied, not scaled, so each reduced row is the negation of
+    # piv * row - row[pj] * piv_row; both rows are left as they were
+    piv_row, row = {0: -1, 1: 2, 2: 3}, {0: 4, 1: 1, 3: 5}
+    negated = {j: -v for j, v in piv_row.items()}
+    assert linalg._fraction_free_update(piv_row, 0)(row) == {1: 9, 2: 12, 3: 5}
+    assert linalg._fraction_free_update(negated, 0)(row) == {1: 9, 2: 12, 3: 5}
+    assert linalg._fraction_free_update({0: -1, 1: 2}, 0)({0: 2, 1: 2}) == {1: 1}
+    assert piv_row == {0: -1, 1: 2, 2: 3} and row == {0: 4, 1: 1, 3: 5}
+    # the solution is read off each row's own leading entry, so it is kept
+    d = from_rows([[-1, 2, 0], [3, 1, 1], [0, -1, 4]])
+    c = from_rows([[1], [0], [2]])
+    x = solve_columns(d, c)
+    assert x is not None and multiply(d, x) == c
+
+
 def test_eliminate_matches_set_index_reference():
     # the column lists with lazy deletion pick every pivot and reduce every
     # row as the column sets did, also up to a non-unit pivot modulo
