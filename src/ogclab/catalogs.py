@@ -124,14 +124,16 @@ def connected_cores(nv: int, ne: int, max_b1: int, allow_loops: bool,
     needs more than ``budget`` markings, as in the degree-bound pruning of
     nauty's geng (McKay & Piperno, 2014).  A vertex of degree ``d`` needs at
     least ``_core_need(flavor, d)`` markings (3, 2, 1, 0 marked and 2, 1, 1,
-    0 oriented for ``d`` = 0, 1, 2, 3+), and ``_least_need`` gives the least
-    total when the ``2L`` half-edges still to come are spread in the most
-    favourable way.  The bound never exceeds the need of any completion, and
-    a parent's completions include its children's, so the augmentation stays
-    complete: the cores returned are those of the unpruned call whose
-    vertices need at most ``budget`` markings together.
+    0 oriented for ``d`` = 0, 1, 2, 3+), and ``_least_need``, memoised for
+    this call only, gives the least total when the ``2L`` half-edges still
+    to come are spread in the most favourable way.  The bound never exceeds
+    the need of any completion, and a parent's completions include its
+    children's, so the augmentation stays complete: the cores returned are
+    those of the unpruned call whose vertices need at most ``budget``
+    markings together.
     """
     prune = budget is not None
+    memo = {}
 
     def hopeless(edges, left):
         deg = [0] * nv
@@ -139,7 +141,7 @@ def connected_cores(nv: int, ne: int, max_b1: int, allow_loops: bool,
             deg[u] += 1
             deg[v] += 1
         needy = tuple(sorted(d for d in deg if _core_need(flavor, d)))
-        return _least_need(flavor, needy, 2 * left) > budget
+        return _least_need(flavor, needy, 2 * left, memo) > budget
 
     if ne < nv - 1 or prune and hopeless((), ne):
         return []
@@ -181,21 +183,24 @@ def _core_need(flavor, degree):
     return min(_oriented_min(profile, k, degree - k) for k in range(degree + 1))
 
 
-@functools.lru_cache(maxsize=None)
-def _least_need(flavor, degrees, half_edges):
+def _least_need(flavor, degrees, half_edges, memo):
     """Least total ``_core_need`` of vertices of the sorted ``degrees`` after
-    at most ``half_edges`` more half-edges are spread over them.  Vertices
+    at most ``half_edges`` more half-edges are spread over them, memoised in
+    ``memo`` under ``(degrees, half_edges)``, for one ``flavor``.  Vertices
     that need nothing are left out, as more half-edges keep their need 0."""
     if not degrees:
         return 0
+    if (degrees, half_edges) in memo:
+        return memo[degrees, half_edges]
     d, rest = degrees[0], degrees[1:]
     totals = []
     for x in range(half_edges + 1):
         here = _core_need(flavor, d + x)
-        totals.append(here + _least_need(flavor, rest, half_edges - x))
+        totals.append(here + _least_need(flavor, rest, half_edges - x, memo))
         if not here:
             break       # more half-edges here only take them from the rest
-    return min(totals)
+    memo[degrees, half_edges] = least = min(totals)
+    return least
 
 
 def _pair_orbit_representatives(pairs, gens):

@@ -52,11 +52,13 @@ class GradedComplex:
     The ranks come from one sweep over the degrees in ascending order, run
     on the first ``rank_of_differential`` call with that call's seed.  Each
     rank is checked as by ``check_consensus``: three random primes, jointly
-    with a per-prime fallback, against the rational rank, every field by
-    its own elimination.  Since ``d_{k-1} d_k = 0``, each field eliminates
-    ``d_k`` without the rows at its own pivot columns of ``d_{k-1}``
-    (``linalg._field_ranks``), and the rational pivot columns of each
-    degree are kept for the completion solve (``_pivot_columns``)."""
+    with a per-prime fallback, against the rational rank, each of the two
+    fields, rational and modular, by its own elimination.  Since
+    ``d_{k-1} d_k = 0``, each field eliminates ``d_k`` without the rows at
+    its own pivot columns of ``d_{k-1}`` (``linalg._field_ranks``).  One
+    table keeps each degree's pair of pivot columns: the rank is the
+    rational count, and the rational columns serve the completion solve
+    (``_pivot_columns``)."""
 
     flavor: str
     genus: int
@@ -65,8 +67,7 @@ class GradedComplex:
     diffs: dict = field(default_factory=dict)     # degree -> C_k -> C_{k-1}
     variant: str = "full"
     _index: dict = field(default_factory=dict, repr=False)
-    _ranks: dict = field(default_factory=dict, repr=False)
-    _pivots: dict = field(default_factory=dict, repr=False)   # degree -> rational Q
+    _pivots: dict = field(default_factory=dict, repr=False)   # degree -> (rational, modular)
 
     @property
     def d_parity(self) -> int:
@@ -96,29 +97,29 @@ class GradedComplex:
     def rank_of_differential(self, k, seed=0):
         """Rank of ``d_k``, 0 outside the basis; the first call runs the
         sweep that ranks every degree (see the class docstring)."""
-        if not self._ranks:
-            self._sweep(seed)
-        return self._ranks.get(k, 0)
+        return len(self._pivot_columns(k, seed))
 
-    def _pivot_columns(self, k):
+    def _pivot_columns(self, k, seed=0):
         """The rational elimination's pivot columns of ``d_k`` from the
-        sweep, empty outside the basis."""
-        self.rank_of_differential(k)
-        return self._pivots.get(k, ())
+        sweep, which the first call runs; empty outside the basis."""
+        if not self._pivots:
+            self._sweep(seed)
+        return self._pivots[k][0] if k in self._pivots else ()
 
     def _sweep(self, seed):
         """Rank every differential in ascending degree, each field dropping
         the rows at its own pivot columns of the differential below; raise
-        ``RankError`` on a disagreement, naming the matrix.  The ranks are
-        kept only when every degree agrees, so a later call raises again."""
+        ``RankError`` on a disagreement, naming the matrix.  The pivot table
+        is kept only when every degree agrees, so a later call raises
+        again."""
         primes = _random_primes(seed)
         where = f"{self.flavor}(g={self.genus},n={len(self.labels)})"
-        ranks, pivots, drop = {}, {}, None
+        pivots, drop = {}, None
         for k in range(min(self.basis), max(self.basis) + 1) if self.basis else ():
-            modular, rational, drop = _field_ranks(self.differential(k), primes, drop)
-            ranks[k] = _agreed(f"{where} d_{k}", modular, rational)
-            pivots[k] = drop[0]
-        self._ranks, self._pivots = ranks, pivots
+            modular, drop = _field_ranks(self.differential(k), primes, drop)
+            _agreed(f"{where} d_{k}", modular, len(drop[0]))
+            pivots[k] = drop
+        self._pivots = pivots
 
 
 def build_marked_complex(catalog: GraphCatalog) -> GradedComplex:

@@ -16,7 +16,8 @@ denominator that shares a factor with the product falls back to one
 elimination per prime.  Every rank the pipeline reports comes from
 ``_field_ranks``, through ``GradedComplex``'s sweep or ``check_consensus``,
 which asserts that each modular rank equals the rational rank; ``rank`` is
-the rational rank alone.  Every elimination can report its pivot columns.
+the rational rank alone.  Every elimination returns its pivot columns, and
+its rank is their count.
 
 Along a chain complex the ranks are compressed (``_field_ranks``; Bauer,
 Kerber & Reininghaus, *Clear and compress*, 2013, the dual of the clearing
@@ -25,11 +26,14 @@ With ``d_{k-1} d_k = 0`` every column of ``d_k`` lies in ``ker d_{k-1}``.
 The pivot columns Q of an elimination of ``d_{k-1}`` are independent, so on
 that kernel the coordinates in Q are fixed by the others: deleting the rows
 Q of ``d_k`` is injective on its column span, and keeps its rank and every
-linear relation among its columns.  Each field deletes the rows at its own
-pivot columns: the rational elimination's, the joint modular one's, or
-after a fallback each prime's, so no field's rank rests on another field's
-elimination.  The completion solve deletes the same rows, the rational Q of
-the differential below its system (``zivkovic._solve_in_kernel``).
+linear relation among its columns.  There are two fields, each deleting
+the rows at its own pivot columns: the rational elimination's and the
+joint modular one's, so no field's rank rests on another field's
+elimination.  A joint elimination that falls back to one elimination per
+prime reports no pivot columns, and the primes then eliminate every row of
+the next differential, which is exact as well.  The completion solve
+deletes the rational Q of the differential below its system
+(``zivkovic._solve_in_kernel``).
 
 A matrix is stored by column: ``cols[j]`` is one tuple of column ``j``'s
 nonzero rows and values, rows ascending, so an entry costs two tuple slots
@@ -165,7 +169,7 @@ class SparseIntMatrix:
 
     def rank(self):
         """Rank over Q, by the rational elimination alone."""
-        return _rank_rational(list(self.rows().values()))
+        return len(_rational_pivots(list(self.rows().values())))
 
     def check_consensus(self, seed=0, name="matrix"):
         """Assert that the rank modulo each of the ``CONSENSUS_PRIMES``
@@ -173,8 +177,8 @@ class SparseIntMatrix:
         the rank.  The primes are eliminated jointly modulo their product,
         with a per-prime fallback (``_consensus_ranks``), from the same row
         dicts as the rational rank (``_field_ranks``)."""
-        modular, rational, _ = _field_ranks(self, _random_primes(seed))
-        return _agreed(name, modular, rational)
+        modular, (rational, _) = _field_ranks(self, _random_primes(seed))
+        return _agreed(name, modular, len(rational))
 
 
 class _Entries(Mapping):
@@ -279,10 +283,10 @@ def _pack(acc):
     return tuple(col)
 
 
-def _eliminate(rows, update, pivots=None):
+def _eliminate(rows, update):
     """Gaussian elimination on the nonzero sparse ``rows`` (dicts column ->
-    value, the columns ints from 0); returns the rank, and appends each
-    pivot column, in pivot order, to ``pivots`` when given.  The list
+    value, the columns ints from 0); returns the pivot columns in pivot
+    order, an ``array("i")`` whose length is the rank.  The list
     ``rows`` is consumed: it is emptied at the start, so that a row no
     caller holds is freed once it is replaced or dropped.  Its dicts are
     not copied and never changed, so they may be the caller's own; an
@@ -315,7 +319,7 @@ def _eliminate(rows, update, pivots=None):
     # row has since been pivoted or changed length is skipped when popped
     order = [len(r) * n + ri for ri, r in live.items()]
     heapify(order)
-    rank = 0
+    pivots = array("i")
     while live:
         length, pri = divmod(heappop(order), n)
         piv_row = live.get(pri)
@@ -323,9 +327,7 @@ def _eliminate(rows, update, pivots=None):
             continue
         del live[pri]
         pj = min(piv_row, key=lambda j: (count[j], j))
-        rank += 1
-        if pivots is not None:
-            pivots.append(pj)
+        pivots.append(pj)
         for j in piv_row:
             count[j] -= 1
         eliminate = update(piv_row, pj)
@@ -346,7 +348,7 @@ def _eliminate(rows, update, pivots=None):
             else:
                 del live[ri]
         col_rows[pj] = None
-    return rank
+    return pivots
 
 
 def _echelon(rows):
@@ -455,13 +457,12 @@ def _int_rows(rows):
     return out
 
 
-def _rank_rational(rows, pivots=None):
-    """Exact integer elimination of the row dicts: the Markowitz loop with
-    fraction-free row updates, each updated row renormalised by its content
-    gcd; the pivot columns go to ``pivots`` when given.  ``rows`` is kept,
-    and a primitive integer row is eliminated as it is, not copied
-    (``_int_rows``)."""
-    return _eliminate(_int_rows(rows), _fraction_free_update, pivots)
+def _rational_pivots(rows):
+    """Pivot columns of the exact integer elimination of the row dicts: the
+    Markowitz loop with fraction-free row updates, each updated row
+    renormalised by its content gcd.  ``rows`` is kept, and a primitive
+    integer row is eliminated as it is, not copied (``_int_rows``)."""
+    return _eliminate(_int_rows(rows), _fraction_free_update)
 
 
 def _rows_mod(rows, m):
@@ -489,25 +490,26 @@ def _rows_mod(rows, m):
     return out
 
 
-def _rank_modular(rows, p, pivots=None):
-    """Rank of the row dicts over Z/p, ``p`` prime: the Markowitz loop with
-    the pivot row scaled by its inverse; the pivot columns go to ``pivots``
-    when given.  At most the rational rank.  The consensus ranks eliminate
-    their primes jointly modulo the product (``_consensus_ranks``) and fall
-    back to this rank, prime by prime."""
+def _modular_pivots(rows, p):
+    """Pivot columns of the elimination of the row dicts over Z/p, ``p``
+    prime: the Markowitz loop with the pivot row scaled by its inverse.
+    Their count, the rank, is at most the rational rank.  The consensus
+    ranks eliminate their primes jointly modulo the product
+    (``_consensus_ranks``) and fall back to this, prime by prime."""
     reduced = _rows_mod(rows, p)
     if reduced is None:
         raise RankError(f"prime {p} divides a denominator")
-    return _eliminate(reduced, partial(_modular_update, p), pivots)
+    return _eliminate(reduced, partial(_modular_update, p))
 
 
 class _NonUnitPivot(Exception):
     """A joint pivot shares a factor with the product of the primes."""
 
 
-def _consensus_ranks(rows, primes, pivots=None):
+def _consensus_ranks(rows, primes):
     """The rank of the row dicts modulo each of ``primes``, from one run of
-    the Markowitz loop over Z/M, M the product of the primes.
+    the Markowitz loop over Z/M, M the product of the primes, with the pivot
+    columns of that run: ``(ranks, pivots)``.
 
     Each pivot must be a unit modulo M, so it is nonzero modulo every
     prime, and each step reduces to a valid elimination step over each
@@ -516,12 +518,7 @@ def _consensus_ranks(rows, primes, pivots=None):
     pivot.  So when every pivot is a unit, the pivot count is each prime's
     rank, and the pivot columns are a valid pivot set over each Z/p.  When
     a pivot or a denominator shares a factor with M, every prime is
-    eliminated on its own with ``_rank_modular``.
-
-    ``pivots``, when given, is extended by one array of pivot columns per
-    prime: after the joint run, the same array for every prime."""
-    if pivots is None:
-        pivots = []
+    eliminated on its own (``_modular_pivots``), and ``pivots`` is empty."""
     m = prod(primes)
     reduced = _rows_mod(rows, m)
     if reduced is not None:
@@ -529,50 +526,41 @@ def _consensus_ranks(rows, primes, pivots=None):
             if gcd(piv_row[pj], m) != 1:
                 raise _NonUnitPivot
             return _modular_update(m, piv_row, pj)
-        joint = array("i")
         try:
-            rank = _eliminate(reduced, update, joint)
+            pivots = _eliminate(reduced, update)
         except _NonUnitPivot:
             pass
         else:
-            pivots += [joint] * len(primes)
-            return [rank] * len(primes)
-    own = [array("i") for _ in primes]
-    pivots += own
-    return [_rank_modular(rows, p, q) for p, q in zip(primes, own)]
+            return [len(pivots)] * len(primes), pivots
+    return [len(_modular_pivots(rows, p)) for p in primes], array("i")
 
 
 def _field_ranks(m, primes, drop=None):
-    """The ranks of ``m`` modulo each of ``primes`` (``_consensus_ranks``)
-    and over Q (``_rank_rational``), each field from its own elimination:
-    ``(modular ranks, rational rank, pivots)``.  ``pivots`` lists arrays of
-    pivot columns: the rational elimination's, then one per prime.
+    """The ranks of ``m`` modulo each of ``primes`` (``_consensus_ranks``),
+    with the pivot columns of two fields, each from its own elimination:
+    ``(modular ranks, (rational pivots, modular pivots))``.  The rational
+    rank is the count of its pivots (``_rational_pivots``); the modular
+    pivots are the joint elimination's, empty after a fallback.
 
-    ``drop``, when given, is that list for the differential before ``m``
-    in a chain complex: the ``d_{k-1}`` whose columns are the rows of
+    ``drop``, when given, is that pair for the differential before ``m`` in
+    a chain complex: the ``d_{k-1}`` whose columns are the rows of
     ``m = d_k``, with ``d_{k-1} d_k = 0``.  Each field then eliminates only
     the rows of ``m`` outside its own pivot columns of ``d_{k-1}``, which
-    keeps the rank (compression, see the module docstring).  The primes
-    run jointly when they drop the same rows, and each on its own
-    otherwise.  Rows that no field keeps are never built."""
-    drop = drop or [()] * (1 + len(primes))
-    joint = all(q == drop[1] for q in drop[2:])
-    fields = drop[:2] if joint else drop
-    masks = [_mask(m.nrows, q) for q in fields]
-    rows = _row_dicts(m, bytes(map(min, *masks)))
-    kept = []           # one list per field, shared by fields that drop alike
-    for q, mask in zip(fields, masks):
-        same = [r for p, r in zip(fields, kept) if p == q]
-        kept.append(same[0] if same else [r for i, r in rows.items() if not mask[i]])
-    del rows
-    rat_rows, *mod_rows = kept
-    pivots = [array("i")]
-    if joint:
-        modular = _consensus_ranks(mod_rows[0], primes, pivots)
+    keeps the rank (compression, see the module docstring).  The fields
+    share one row list when they drop the same rows, and rows that neither
+    keeps are never built."""
+    rat_q, mod_q = drop or ((), ())
+    rat_mask = _mask(m.nrows, rat_q)
+    if mod_q == rat_q:
+        rat_rows = mod_rows = list(_row_dicts(m, rat_mask).values())
     else:
-        pivots += [array("i") for _ in primes]
-        modular = [_rank_modular(r, p, q) for r, p, q in zip(mod_rows, primes, pivots[1:])]
-    return modular, _rank_rational(rat_rows, pivots[0]), pivots
+        mod_mask = _mask(m.nrows, mod_q)
+        rows = _row_dicts(m, bytes(map(min, rat_mask, mod_mask)))
+        rat_rows = [r for i, r in rows.items() if not rat_mask[i]]
+        mod_rows = [r for i, r in rows.items() if not mod_mask[i]]
+        del rows
+    modular, mod_pivots = _consensus_ranks(mod_rows, primes)
+    return modular, (_rational_pivots(rat_rows), mod_pivots)
 
 
 def _agreed(name, modular, rational):

@@ -162,14 +162,21 @@ class ChainMapReport:
         }
 
 
-def _identity_sign(psi, marked, diffs):
+def _chain_sides(psi, marked, oriented, k):
+    """The two sides of the chain identity in degree ``k``, ``D_{k+n} psi_k``
+    and ``psi_{k-1} d_k``, of one shape; the second is zero without
+    ``psi_{k-1}`` or ``d_k``."""
+    left = oriented.differential(k + len(marked.labels)) * psi[k]
+    if (k - 1) in psi and k in marked.diffs:
+        return left, psi[k - 1] * marked.diffs[k]
+    return left, SparseIntMatrix(left.nrows, left.ncols)
+
+
+def _identity_sign(psi, marked, oriented):
     """Global sign making ``D.psi = eps.psi.d`` hold, or (None, failure)."""
     eps = None
     for k in sorted(psi):
-        a = diffs.get(k + len(marked.labels))
-        left = (a * psi[k]) if a is not None else SparseIntMatrix(0, 0)
-        right = (psi[k - 1] * marked.diffs[k]) if ((k - 1) in psi and k in marked.diffs) \
-            else SparseIntMatrix(left.nrows, left.ncols)
+        left, right = _chain_sides(psi, marked, oriented, k)
         keys = set(left.entries) | set(right.entries)
         for pos in sorted(keys):
             lv, rv = left[pos], right[pos]
@@ -201,12 +208,7 @@ def complete_chain_map(psi: dict, marked: GradedComplex, oriented: GradedComplex
     completed = {k: m.copy() for k, m in psi.items()}
     support = {}
     for k in sorted(completed):
-        big = oriented.differential(k + n)
-        left = big * completed[k]
-        if (k - 1) in completed and k in marked.diffs:
-            right = completed[k - 1] * marked.diffs[k]
-        else:
-            right = SparseIntMatrix(left.nrows, left.ncols)
+        left, right = _chain_sides(completed, marked, oriented, k)
         resid = left - (right if eps == 1 else -right)
         if resid.is_zero():
             continue
@@ -252,7 +254,7 @@ def verify_chain_map(psi: dict, marked: GradedComplex,
     convention = {"flow": "toward-marking", "subdivision": "double-outgoing-source",
                   "roots": "last",
                   "frozen_differential": "subdividers_frozen"}
-    eps, failure = _identity_sign(psi, marked, oriented_frozen.diffs)
+    eps, failure = _identity_sign(psi, marked, oriented_frozen)
     frozen_ok = failure is None
     if not frozen_ok:
         report = ChainMapReport(passed=False, global_sign=None, convention=convention,
@@ -264,7 +266,7 @@ def verify_chain_map(psi: dict, marked: GradedComplex,
     full_ok = False
     failure = None
     if solvable:
-        eps2, failure = _identity_sign(completed, marked, oriented_full.diffs)
+        eps2, failure = _identity_sign(completed, marked, oriented_full)
         full_ok = failure is None and eps2 == eps
         if failure is None and eps2 != eps:
             failure = {"mixed_sign_between_variants": [eps, eps2]}

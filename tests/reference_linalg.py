@@ -1,6 +1,6 @@
 """References for the shared elimination loop in ``ogclab.linalg``.
 
-``rank_modular`` is the elimination the per-prime ``linalg._rank_modular`` ran
+``rank_modular`` is the elimination the per-prime ``linalg._modular_pivots`` ran
 before it moved onto the shared Markowitz loop: rows are reduced in input
 order, each against the pivots found so far, always at its smallest live
 column, with no fill control.  It is slow on large differentials and kept
@@ -14,7 +14,8 @@ back-substitution.  They are kept to check the integer versions against.
 ``eliminate`` is the Markowitz loop ``linalg._eliminate`` ran while its
 column index was a ``set`` of row indices per column, discarded and added
 entry by entry; it is kept to check the list index with lazy deletion
-against, pivot by pivot and row update by row update.
+against, pivot by pivot and row update by row update.  It returns its pivot
+columns in pivot order.
 
 ``DictMatrix`` is the ``(row, col) -> value`` dict storage ``SparseIntMatrix``
 had before it moved to column tuples, with the same setter, ``add`` and
@@ -74,14 +75,14 @@ def eliminate(rows, update):
         by_len.setdefault(len(r), set()).add(ri)
         for j in r:
             col_rows.setdefault(j, set()).add(ri)
-    rank = 0
+    pivots = []
     while live:
         length = min(l for l, b in by_len.items() if b)
         pri = min(by_len[length])
         pj = min(live[pri], key=lambda j: (len(col_rows[j]), j))
         piv_row = live.pop(pri)
         by_len[len(piv_row)].discard(pri)
-        rank += 1
+        pivots.append(pj)
         for j in piv_row:
             col_rows[j].discard(pri)
         eliminate = update(piv_row, pj)
@@ -98,7 +99,7 @@ def eliminate(rows, update):
                 by_len.setdefault(len(new), set()).add(ri)
             else:
                 del live[ri]
-    return rank
+    return pivots
 
 
 def kernel_basis(m: SparseIntMatrix):

@@ -263,6 +263,28 @@ def test_pruned_cores_are_the_unpruned_cores_within_budget(flavor, g, n):
         assert connected_cores(*args, flavor, n) == kept, (nv, flavor, g, n)
 
 
+def test_least_need_memo_lives_for_one_core_call(monkeypatch):
+    # each connected_cores call memoises the marking bound in a dict of its
+    # own, shared by the recursion, that nothing holds once the call returns
+    least_need = catalogs._least_need
+    memos, hits = [], []
+
+    def recorded(flavor, degrees, half_edges, memo):
+        memos.append(memo)
+        hits.append((degrees, half_edges) in memo)
+        return least_need(flavor, degrees, half_edges, memo)
+    monkeypatch.setattr(catalogs, "_least_need", recorded)
+    for nv, flavor in ((4, "oriented"), (5, "oriented"), (4, "marked")):
+        memos.clear()
+        hits.clear()
+        cores = connected_cores(nv, nv + 1, 2, True, flavor, 3)
+        (memo,) = {id(m): m for m in memos}.values()
+        assert memo and cores and any(hits), (nv, flavor)
+        memos.clear()
+        assert sys.getrefcount(memo) == 2     # the name and the argument
+    assert not hasattr(least_need, "cache_info")
+
+
 def reference_oriented_catalog(g, n):
     """The oriented catalog from the unpruned cores and the decorator that
     canonicalises every decoration."""

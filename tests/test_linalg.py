@@ -48,7 +48,7 @@ def test_zero_rank():
 def test_rank_known():
     m = from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert m.rank() == 2
-    assert linalg._rank_modular(list(m.rows().values()), 10007) == 2
+    assert len(linalg._modular_pivots(list(m.rows().values()), 10007)) == 2
     assert m.check_consensus(seed=3) == 2
 
 
@@ -71,7 +71,7 @@ def test_rank_transpose_invariance():
 def test_rank_modular_le_rational():
     # 2*I has rank 0 mod 2 but full rank over Q
     m = from_rows([[2, 0], [0, 2]])
-    assert linalg._rank_modular(list(m.rows().values()), 2) == 0
+    assert len(linalg._modular_pivots(list(m.rows().values()), 2)) == 0
     assert m.rank() == 2
 
 
@@ -119,9 +119,9 @@ def test_markowitz_modular_rank_matches_reference():
                 expected = reference_linalg.rank_modular(m, p)
             except RankError:
                 with pytest.raises(RankError):
-                    linalg._rank_modular(rows, p)
+                    linalg._modular_pivots(rows, p)
                 continue
-            got = linalg._rank_modular(rows, p)
+            got = len(linalg._modular_pivots(rows, p))
             assert got == expected
             assert got <= rational
             below += got < rational
@@ -130,37 +130,42 @@ def test_markowitz_modular_rank_matches_reference():
 
 def test_joint_consensus_ranks_match_per_prime(monkeypatch):
     # modulo 2 * 3 * 5 many pivots are no units and 3 and 5 divide some
-    # denominators, so both branches run; with 31-bit primes none falls back
+    # denominators, so both branches run; with 31-bit primes none falls back;
+    # the joint run returns its pivot columns, a fallback none
     rng = random.Random(20221029)
-    per_prime = linalg._rank_modular
+    per_prime = linalg._modular_pivots
     calls = []
-    monkeypatch.setattr(linalg, "_rank_modular",
-                        lambda rows, p, *pivots: calls.append(p) or per_prime(rows, p, *pivots))
+    monkeypatch.setattr(linalg, "_modular_pivots",
+                        lambda rows, p: calls.append(p) or per_prime(rows, p))
     joint = fallback = refused = 0
     for case in range(300):
         m = random_sparse(rng, with_fractions=case % 3 == 0)
         rows = list(m.rows().values())
         primes = linalg._random_primes(case)
         calls.clear()
-        assert linalg._consensus_ranks(rows, primes) == [
-            per_prime(rows, p) for p in primes]
+        ranks, pivots = linalg._consensus_ranks(rows, primes)
+        assert ranks == [len(per_prime(rows, p)) for p in primes]
+        assert len(pivots) == ranks[0]
         assert not calls
         try:
-            expected = [per_prime(rows, p) for p in (2, 3, 5)]
+            expected = [len(per_prime(rows, p)) for p in (2, 3, 5)]
         except RankError as err:
             with pytest.raises(RankError, match=f"^{re.escape(str(err))}$"):
                 linalg._consensus_ranks(rows, (2, 3, 5))
             refused += 1
             continue
-        assert linalg._consensus_ranks(rows, (2, 3, 5)) == expected
+        ranks, pivots = linalg._consensus_ranks(rows, (2, 3, 5))
+        assert ranks == expected
+        assert len(pivots) == (0 if calls else ranks[0])
         fallback += bool(calls)
         joint += not calls
     assert joint > 10 and fallback > 100 and refused > 30
 
 
 def logged_run(eliminate, rows, update, norm):
-    """The rank from ``eliminate`` (``None`` on a non-unit pivot) and the
-    log of every pivot and every row reduced, values through ``norm``."""
+    """The pivot columns from ``eliminate`` as a list (``None`` on a
+    non-unit pivot) and the log of every pivot and every row reduced,
+    values through ``norm``."""
     log = []
 
     def logged(piv_row, pj):
@@ -168,7 +173,7 @@ def logged_run(eliminate, rows, update, norm):
         reduce_row = update(piv_row, pj)
         return lambda row: log.append(norm(row)) or reduce_row(row)
     try:
-        return eliminate(rows, logged), log
+        return list(eliminate(rows, logged)), log
     except linalg._NonUnitPivot:
         return None, log
 
@@ -225,9 +230,9 @@ def test_eliminate_matches_set_index_reference():
             assert (s is r) == (ints and gcd(*r.values()) == 1)
             assert (t is r) == ints
         linalg._consensus_ranks(rows, linalg._random_primes(case))
-        linalg._rank_rational(rows)
+        linalg._rational_pivots(rows)
         try:
-            linalg._rank_modular(rows, 3)
+            linalg._modular_pivots(rows, 3)
         except RankError:
             pass
         assert rows == before

@@ -198,7 +198,7 @@ def test_frozen_identity_is_exact_without_completion():
     for (g, n) in [(1, 3), (2, 1), (0, 4)]:
         mx, full, frozen = stack(g, n)
         psi = psi_matrix(mx, full)
-        eps, failure = _identity_sign(psi, mx, frozen.diffs)
+        eps, failure = _identity_sign(psi, mx, frozen)
         assert failure is None
         assert eps in (1, -1)
 
@@ -303,8 +303,8 @@ def test_quasi_iso_blocks_are_consensus_checked(seed, monkeypatch):
     field_ranks = linalg._field_ranks
 
     def off_by_one(m, primes, drop=None):
-        modular, rational, pivots = field_ranks(m, primes, drop)
-        return [modular[0] + 1, *modular[1:]], rational, pivots
+        modular, pivots = field_ranks(m, primes, drop)
+        return [modular[0] + 1, *modular[1:]], pivots
     monkeypatch.setattr(linalg, "_field_ranks", off_by_one)
     k = ranked[0]
     with pytest.raises(RankError, match=re.escape(
