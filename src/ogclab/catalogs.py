@@ -92,6 +92,8 @@ class GraphCatalog:
 
 
 def _check_pair(g: int, labels) -> tuple:
+    if not isinstance(g, int) or g < 0:
+        raise GraphError(f"genus must be an integer >= 0, got {g!r}")
     labels = tuple(sorted(int(l) for l in labels))
     if len(set(labels)) != len(labels):
         raise GraphError("marking labels must be distinct")

@@ -13,7 +13,7 @@ import os
 import sys
 
 from .graphs import GraphError
-from .catalogs import (ResourceCapExceeded, generate_or_load, save_catalog)
+from .catalogs import (ResourceCapExceeded, _check_pair, generate_or_load, save_catalog)
 from .complexes import (ComplexError, betti, build_marked_complex,
                         build_oriented_complex, euler_characteristic)
 from .linalg import RankError, write_matrix_market
@@ -57,9 +57,10 @@ def _pairs(args):
     pairs = []
     for g in _parse_range(args.genus):
         for n in _parse_range(args.markings):
-            if g < 0 or n < 1 or 2 * g + n - 2 <= 0:
-                raise GraphError(
-                    f"unstable pair (g={g}, n={n}): need 2g+n-2 > 0")
+            try:
+                _check_pair(g, _labels(n))
+            except GraphError as exc:
+                raise GraphError(f"pair (g={g}, n={n}): {exc}") from None
             pairs.append((g, n))
     return pairs
 

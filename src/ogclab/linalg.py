@@ -37,15 +37,16 @@ deletes the rational Q of the differential below its system
 
 A matrix is stored by column: ``cols[j]`` is one tuple of column ``j``'s
 nonzero rows and values, rows ascending, so an entry costs two tuple slots
-instead of a dict item and a key tuple.  ``entries`` is a read-only
-``(row, col) -> value`` mapping over the same tuples.  ``multiply`` builds
-the product one output column at a time, as ``a`` applied to a column of
-``b``, so the d^2 = 0 check holds one column's sums at a time.  The row
-dicts that elimination needs are built once per rank call, only for the
-rows some field keeps, and the modular and rational ranks of a consensus
-check both eliminate on them: a row is copied only when it must be reduced
-or scaled, and an updated row is a new dict, so the matrix's rows are never
-changed.
+instead of a dict item and a key tuple.  A matrix is built once, each
+column packed from a dict of its values (``_pack``), and never changed;
+``entries`` is a read-only ``(row, col) -> value`` snapshot.  ``multiply``
+builds the product one output column at a time, as ``a`` applied to a
+column of ``b``, so the d^2 = 0 check holds one column's sums at a time.
+The row dicts that elimination needs are built once per rank call, only
+for the rows some field keeps, and the modular and rational ranks of a
+consensus check both eliminate on them: a row is copied only when it must
+be reduced or scaled, and an updated row is a new dict, so the matrix's
+rows are never changed.
 Integral entries are stored as ``int``; only a non-integral value, such as
 an entry of a solution from ``solve_columns``, is kept as ``Fraction``.
 """
@@ -53,11 +54,12 @@ from __future__ import annotations
 
 import random
 from array import array
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import partial
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
+from types import MappingProxyType
 
 
 CONSENSUS_PRIMES = 3     # random primes per consensus rank
@@ -71,8 +73,10 @@ class SparseIntMatrix:
     """Sparse exact matrix stored by column: ``cols[j]`` is the tuple
     ``(row, value, row, value, ...)`` of column ``j``'s nonzero entries in
     ascending row order.  Values are ``int`` when integral and ``Fraction``
-    otherwise; zero entries are never stored.  ``entries`` is a read-only
-    ``(row, col) -> value`` view of the same entries."""
+    otherwise; zero entries are never stored.  A matrix is built once, from
+    ``entries`` (a mapping or an iterable of ``((row, col), value)``; the
+    last value of a position wins), and never changed; ``entries`` is a
+    read-only ``(row, col) -> value`` snapshot, column by column."""
 
     __slots__ = ("nrows", "ncols", "cols")
 
@@ -80,44 +84,26 @@ class SparseIntMatrix:
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         self.cols = [()] * self.ncols
-        if entries:
-            for (i, j), v in (entries.items() if isinstance(entries, Mapping) else entries):
-                self[i, j] = v
-
-    def __setitem__(self, pos, value):
-        (i, j) = pos
-        self._write(i, j, value, False)
+        by_col = {}
+        for (i, j), v in (entries.items() if isinstance(entries, Mapping) else entries or ()):
+            if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+                raise IndexError(f"entry {(i, j)} outside {self.nrows}x{self.ncols}")
+            by_col.setdefault(j, {})[i] = v if type(v) is int else Fraction(v)
+        for j, acc in by_col.items():
+            self.cols[j] = _pack(acc)
 
     def __getitem__(self, pos):
         (i, j) = pos
-        if not 0 <= j < self.ncols:
-            return 0
-        col = self.cols[j]
-        k = _find(col, i)
-        return col[k + 1] if k < len(col) and col[k] == i else 0
-
-    def add(self, i, j, value):
-        self._write(i, j, value, True)
-
-    def _write(self, i, j, value, add):
-        """Set entry ``(i, j)`` to ``value``, or add ``value`` to it, by
-        rebuilding the tuple of column ``j``."""
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError(f"entry {(i, j)} outside {self.nrows}x{self.ncols}")
-        col = self.cols[j]
-        k = _find(col, i)
-        end = k + 2 if k < len(col) and col[k] == i else k
-        if add and end > k:
-            value += col[k + 1]
-        if type(value) is not int:
-            value = Fraction(value)
-            if value.denominator == 1:
-                value = value.numerator
-        self.cols[j] = col[:k] + (i, value) + col[end:] if value else col[:k] + col[end:]
+        if 0 <= j < self.ncols:
+            for r, v in _pairs(self.cols[j]):
+                if r == i:
+                    return v
+        return 0
 
     @property
     def entries(self):
-        return _Entries(self)
+        return MappingProxyType({(i, j): v for j, col in enumerate(self.cols)
+                                 for i, v in _pairs(col)})
 
     @property
     def nnz(self):
@@ -125,9 +111,6 @@ class SparseIntMatrix:
 
     def is_zero(self):
         return not any(self.cols)
-
-    def copy(self):
-        return _with_cols(self.nrows, self.ncols, list(self.cols))
 
     def rows(self):
         """``{row: {col: value}}`` over the nonzero rows, both ascending."""
@@ -181,44 +164,6 @@ class SparseIntMatrix:
         return _agreed(name, modular, len(rational))
 
 
-class _Entries(Mapping):
-    """Read-only ``(row, col) -> value`` view of a ``SparseIntMatrix``,
-    iterated column by column."""
-
-    __slots__ = ("_m",)
-
-    def __init__(self, m):
-        self._m = m
-
-    def __getitem__(self, pos):
-        value = self._m[pos]
-        if not value:
-            raise KeyError(pos)
-        return value
-
-    def __iter__(self):
-        for j, col in enumerate(self._m.cols):
-            for i in col[::2]:
-                yield (i, j)
-
-    def __len__(self):
-        return self._m.nnz
-
-    def items(self):
-        return _EntryItems(self)
-
-
-class _EntryItems(ItemsView):
-    """Items of an ``_Entries`` view, read straight off the column tuples."""
-
-    __slots__ = ()
-
-    def __iter__(self):
-        for j, col in enumerate(self._mapping._m.cols):
-            for i, v in _pairs(col):
-                yield (i, j), v
-
-
 def _with_cols(nrows, ncols, cols):
     m = SparseIntMatrix(nrows, ncols)
     m.cols = cols
@@ -229,20 +174,6 @@ def _pairs(col):
     """The ``(row, value)`` pairs of a column tuple."""
     it = iter(col)
     return zip(it, it)
-
-
-def _find(col, i):
-    """Position in the column tuple ``col`` of row ``i``, or of the first
-    larger row.  A plain loop: ``bisect`` with a key over the even positions
-    costs more on the short columns of the differentials."""
-    lo, hi = 0, len(col) // 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if col[2 * mid] < i:
-            lo = mid + 1
-        else:
-            hi = mid
-    return 2 * lo
 
 
 def _mask(n, rows):
@@ -651,15 +582,15 @@ _MM_HEADER = "%%MatrixMarket matrix coordinate integer general"
 
 
 def write_matrix_market(m: SparseIntMatrix, path: str, comment: str = "") -> None:
-    entries = sorted(m.entries.items())
-    if any(type(v) is not int for _, v in entries):
+    entries = sorted((i, j, v) for j, col in enumerate(m.cols) for i, v in _pairs(col))
+    if any(type(v) is not int for _, _, v in entries):
         raise ValueError("MatrixMarket integer export needs integer entries")
     with open(path, "w") as fh:
         fh.write(_MM_HEADER + "\n")
         if comment:
             fh.write(f"%{comment}\n")
         fh.write(f"{m.nrows} {m.ncols} {len(entries)}\n")
-        for (i, j), v in entries:
+        for i, j, v in entries:
             fh.write(f"{i + 1} {j + 1} {v}\n")
 
 
@@ -680,7 +611,7 @@ def read_matrix_market(path: str) -> SparseIntMatrix:
                              "integers") from None
         if min(nrows, ncols, nnz) < 0:
             raise ValueError(f"{path}: size line {line.strip()!r} has a negative count")
-        m = SparseIntMatrix(nrows, ncols)
+        entries = {}
         for k in range(nnz):
             try:
                 i, j, v = map(int, fh.readline().split())
@@ -689,10 +620,10 @@ def read_matrix_market(path: str) -> SparseIntMatrix:
                                  "or malformed") from None
             if not (1 <= i <= nrows and 1 <= j <= ncols):
                 raise ValueError(f"{path}: entry ({i}, {j}) outside {nrows}x{ncols}")
-            if v == 0 or m[i - 1, j - 1]:
+            if v == 0 or (i - 1, j - 1) in entries:
                 raise ValueError(f"{path}: entry ({i}, {j}) is zero or repeated")
-            m[i - 1, j - 1] = v
+            entries[i - 1, j - 1] = v
         if fh.read().strip():
             raise ValueError(f"{path}: the file has more entries than the {nnz} "
                              "it declares")
-    return m
+    return SparseIntMatrix(nrows, ncols, entries)

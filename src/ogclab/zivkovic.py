@@ -25,7 +25,7 @@ from .catalogs import generate_or_load, spanning_forests
 from .complexes import (GradedComplex, betti, betti_shift_matches,
                         build_marked_complex, build_oriented_complexes,
                         euler_characteristic)
-from .linalg import SparseIntMatrix, _pairs, _with_cols, _without_rows, solve_columns
+from .linalg import SparseIntMatrix, _pack, _pairs, _with_cols, _without_rows, solve_columns
 
 
 @dataclass
@@ -118,9 +118,10 @@ def psi_matrix(marked: GradedComplex, oriented: GradedComplex) -> dict:
     n = len(marked.labels)
     psi = {}
     for k in marked.degrees():
-        mat = SparseIntMatrix(oriented.dim(k + n), marked.dim(k))
+        cols = []
         for col in range(marked.dim(k)):
             g = marked.generator(k, col)
+            acc = {}
             for forest in spanning_forests(g):
                 fo = forest_orient(g, forest)
                 order = list(fo.cell_map) + list(fo.roots)
@@ -133,8 +134,9 @@ def psi_matrix(marked: GradedComplex, oriented: GradedComplex) -> dict:
                     raise GraphError(
                         f"forest image of a degree-{k} generator landed in "
                         f"oriented degree {kk}, expected {k + n}")
-                mat.add(row, col, perm_parity([cf.vertex_map[x] for x in order]))
-        psi[k] = mat
+                acc[row] = acc.get(row, 0) + perm_parity([cf.vertex_map[x] for x in order])
+            cols.append(_pack(acc))
+        psi[k] = _with_cols(oriented.dim(k + n), marked.dim(k), cols)
     return psi
 
 
@@ -177,11 +179,9 @@ def _identity_sign(psi, marked, oriented):
     eps = None
     for k in sorted(psi):
         left, right = _chain_sides(psi, marked, oriented, k)
-        keys = set(left.entries) | set(right.entries)
-        for pos in sorted(keys):
-            lv, rv = left[pos], right[pos]
-            if lv == 0 and rv == 0:
-                continue
+        lent, rent = left.entries, right.entries
+        for pos in sorted(lent.keys() | rent.keys()):
+            lv, rv = lent.get(pos, 0), rent.get(pos, 0)
             if lv == rv:
                 cand = 1
             elif lv == -rv:
@@ -205,7 +205,7 @@ def complete_chain_map(psi: dict, marked: GradedComplex, oriented: GradedComplex
     right side is no cycle of the differential below (``_solve_in_kernel``).
     Returns ``(completed family, solvable, support sizes)``."""
     n = len(marked.labels)
-    completed = {k: m.copy() for k, m in psi.items()}
+    completed = dict(psi)
     support = {}
     for k in sorted(completed):
         left, right = _chain_sides(completed, marked, oriented, k)

@@ -202,12 +202,12 @@ def solve_columns(D: SparseIntMatrix, C: SparseIntMatrix):
                     row[kk] = nv
                 else:
                     row.pop(kk, None)
-    X = SparseIntMatrix(D.ncols, C.ncols)
+    X = {}
     for j, row in pivots.items():
         for (t, c), v in row.items():
             if t == 1 and v:
                 X[j, c] = v
-    return X
+    return SparseIntMatrix(D.ncols, C.ncols, X)
 
 
 class DictMatrix:

@@ -23,6 +23,7 @@ from ogclab.catalogs import (ResourceCapExceeded, _build_catalog, _core_need,
                              generate_marked, generate_or_load, generate_oriented,
                              load_catalog, spanning_forests)
 from ogclab.complexes import _admissible_contractions, build_oriented_complex
+from ogclab.zivkovic import run_verification
 
 
 CRIT2_PAIRS = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1)]
@@ -65,11 +66,19 @@ def test_smallest_oriented_stratum_is_the_oriented_loop():
     assert is_acyclic(g)
 
 
-def test_unstable_pair_is_domain_error():
+def test_unstable_pair_is_domain_error(monkeypatch):
     with pytest.raises(GraphError):
         generate_marked(0, [1, 2])
     with pytest.raises(GraphError):
         generate_oriented(0, [1])
+    # a negative genus is refused even where 2g + n - 2 > 0
+    monkeypatch.delenv("OGCLAB_CACHE", raising=False)
+    with pytest.raises(GraphError, match="genus"):
+        generate_marked(-1, (1, 2, 3, 4, 5))
+    with pytest.raises(GraphError, match="genus"):
+        generate_oriented(-1, (1, 2, 3, 4, 5))
+    with pytest.raises(GraphError, match="genus"):
+        run_verification(-1, (1, 2, 3, 4, 5))
 
 
 def test_catalog_entries_are_valid():

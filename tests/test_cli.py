@@ -32,9 +32,13 @@ def test_enumerate_smallest_oriented_stratum(tmp_path, capsys):
     assert len(data["edges"]) == 2          # the oriented loop
 
 
-def test_unstable_pair_is_usage_error(tmp_path):
+def test_unstable_pair_is_usage_error(tmp_path, capsys):
     code = run(["enumerate", "-g", "0", "-n", "2", "--out", str(tmp_path / "x")])
     assert code == 2
+    assert "pair (g=0, n=2)" in capsys.readouterr().err
+    code = run(["enumerate", "-g", "-1", "-n", "5", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "pair (g=-1, n=5): genus" in capsys.readouterr().err
 
 
 def test_bad_flag_is_usage_error():

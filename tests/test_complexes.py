@@ -297,19 +297,22 @@ def random_chain(rng, length=4):
     construction: each after the first is a random integer combination of
     the vectors of a kernel basis of the one before."""
     nrows, ncols = rng.randint(1, 6), rng.randint(2, 9)
-    d = SparseIntMatrix(nrows, ncols)
+    E = {}
     for _ in range(rng.randint(1, nrows * ncols)):
-        d[rng.randrange(nrows), rng.randrange(ncols)] = rng.choice(CHAIN_VALUES)
+        E[rng.randrange(nrows), rng.randrange(ncols)] = rng.choice(CHAIN_VALUES)
+    d = SparseIntMatrix(nrows, ncols, E)
     mats = [d]
     for _ in range(length - 1):
         kernel = reference_linalg.kernel_basis(d)
-        d = SparseIntMatrix(d.ncols, rng.randint(1, 9))
-        for c in range(d.ncols):
+        nrows, ncols = d.ncols, rng.randint(1, 9)
+        E = {}
+        for c in range(ncols):
             for vec in kernel:
                 if rng.random() < 0.5:
                     f = rng.choice(CHAIN_VALUES)
                     for j, v in vec.items():
-                        d.add(j, c, f * v)
+                        E[j, c] = E.get((j, c), 0) + f * v
+        d = SparseIntMatrix(nrows, ncols, E)
         assert (mats[-1] * d).is_zero()
         mats.append(d)
     return mats
@@ -401,7 +404,10 @@ def test_frozen_failures_name_the_variant():
     k = next(k for k in frozen.degrees()
              if frozen.dim(k) and k - 1 in frozen.diffs and frozen.diffs[k - 1].nnz)
     (_, i) = min(frozen.diffs[k - 1].entries)
-    frozen.diffs[k].add(i, 0, 1)     # column i of d_{k-1} is not zero
+    d = frozen.diffs[k]
+    E = dict(d.entries)
+    E[i, 0] = E.get((i, 0), 0) + 1     # column i of d_{k-1} is not zero
+    frozen.diffs[k] = SparseIntMatrix(d.nrows, d.ncols, E)
     with pytest.raises(ComplexError, match=r"oriented\(g=1,n=2\) \(subdividers_frozen\)"):
         _check_d_squared(frozen)
     cat = generate_oriented(1, labels(2))

@@ -241,15 +241,16 @@ def kernel_induced_rank(psi_k, marked, oriented, k):
     through psi_k and count what the oriented boundaries do not span."""
     n = len(marked.labels)
     z = reference_linalg.kernel_basis(marked.differential(k))
-    zmat = SparseIntMatrix(marked.dim(k), len(z))
+    Z = {}
     for c, vec in enumerate(z):
         for j, v in vec.items():
-            zmat[j, c] = v
-    pz = multiply(psi_k, zmat)
+            Z[j, c] = v
+    pz = multiply(psi_k, SparseIntMatrix(marked.dim(k), len(z), Z))
     bnd = oriented.differential(k + n + 1)
-    both = SparseIntMatrix(pz.nrows, pz.ncols + bnd.ncols, pz.entries)
+    B = dict(pz.entries)
     for (i, j), v in bnd.entries.items():
-        both[i, j + pz.ncols] = v
+        B[i, j + pz.ncols] = v
+    both = SparseIntMatrix(pz.nrows, pz.ncols + bnd.ncols, B)
     return both.rank() - bnd.rank()
 
 
