@@ -390,6 +390,8 @@ def _oriented_decorations(nv, core, labels, profile):
         images.append((a, sources))
     ind = [0] * nv
     out = [0] * nv
+    # per choice, the counters its ends (u, v) raise: only a tail gains out
+    counters = {SUB: (ind, ind), FWD: (out, ind), BWD: (ind, out)}
     choice = [SUB] * ne
     results = []
 
@@ -404,29 +406,16 @@ def _oriented_decorations(nv, core, labels, profile):
         if i and edges[i - 1] == edges[i]:
             opts = [c for c in opts if c >= choice[i - 1]]
         for c in opts:
-            if c == SUB:
-                ind[u] += 1
-                ind[v] += 1
-            elif c == FWD:
-                out[u] += 1
-                ind[v] += 1
-            else:
-                ind[u] += 1
-                out[v] += 1
+            (at_u, at_v) = counters[c]
+            at_u[u] += 1
+            at_v[v] += 1
             choice[i] = c
             d = deficit
             for w in finishers[i]:
                 d += _oriented_min(profile, ind[w], out[w])
             rec(i + 1, d)
-            if c == SUB:
-                ind[u] -= 1
-                ind[v] -= 1
-            elif c == FWD:
-                out[u] -= 1
-                ind[v] -= 1
-            else:
-                ind[u] -= 1
-                out[v] -= 1
+            at_u[u] -= 1
+            at_v[v] -= 1
 
     def finish():
         fixing = []

@@ -81,6 +81,8 @@ class SparseIntMatrix:
     __slots__ = ("nrows", "ncols", "cols")
 
     def __init__(self, nrows: int, ncols: int, entries=None):
+        if not all(d == int(d) >= 0 for d in (nrows, ncols)):
+            raise ValueError(f"no {nrows}x{ncols} matrix: dimensions are integers >= 0")
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         self.cols = [()] * self.ncols
@@ -478,18 +480,14 @@ def _field_ranks(m, primes, drop=None):
     ``m = d_k``, with ``d_{k-1} d_k = 0``.  Each field then eliminates only
     the rows of ``m`` outside its own pivot columns of ``d_{k-1}``, which
     keeps the rank (compression, see the module docstring).  The fields
-    share one row list when they drop the same rows, and rows that neither
-    keeps are never built."""
+    share the row dicts both keep, and rows that neither keeps are never
+    built."""
     rat_q, mod_q = drop or ((), ())
-    rat_mask = _mask(m.nrows, rat_q)
-    if mod_q == rat_q:
-        rat_rows = mod_rows = list(_row_dicts(m, rat_mask).values())
-    else:
-        mod_mask = _mask(m.nrows, mod_q)
-        rows = _row_dicts(m, bytes(map(min, rat_mask, mod_mask)))
-        rat_rows = [r for i, r in rows.items() if not rat_mask[i]]
-        mod_rows = [r for i, r in rows.items() if not mod_mask[i]]
-        del rows
+    rat_mask, mod_mask = _mask(m.nrows, rat_q), _mask(m.nrows, mod_q)
+    rows = _row_dicts(m, bytes(map(min, rat_mask, mod_mask)))
+    rat_rows = [r for i, r in rows.items() if not rat_mask[i]]
+    mod_rows = [r for i, r in rows.items() if not mod_mask[i]]
+    del rows
     modular, mod_pivots = _consensus_ranks(mod_rows, primes)
     return modular, (_rational_pivots(rat_rows), mod_pivots)
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .graphs import Graph, GraphError, genus
+from .graphs import Graph, GraphError, _b1_bound, genus
 from .canonical import canonical_form, perm_parity
 from .catalogs import generate_or_load, spanning_forests
 from .complexes import (GradedComplex, betti, betti_shift_matches,
@@ -31,8 +31,6 @@ from .linalg import SparseIntMatrix, _pack, _pairs, _with_cols, _without_rows, s
 @dataclass
 class ForestOrientedGraph:
     """Result of orienting a marked graph along a spanning forest."""
-    source: Graph
-    forest: tuple
     graph: Graph          # directed; original vertices first, then one
                           # subdivision source per non-forest edge
     cell_map: tuple       # edge id of the source -> vertex id of the result
@@ -42,68 +40,56 @@ class ForestOrientedGraph:
 def forest_orient(g: Graph, forest) -> ForestOrientedGraph:
     """Apply the orientation functor to ``(g, forest)``.
 
-    Forest edges point toward the marked vertex of their component; the
-    remaining edges become fresh sources with two outgoing half-edges.  The
-    cell map sends a forest edge to its child endpoint and a subdivided edge
-    to its fresh source; component roots are exactly the vertices not hit.
+    ``forest`` must be one of ``spanning_forests(g)``: ``nv - n`` distinct
+    non-loop edge ids that close no cycle once each marking is joined to one
+    extra vertex, so that every component is a tree holding exactly one
+    marking; anything else raises ``GraphError``.  Forest edges point toward
+    the marked vertex of their component; the remaining edges become fresh
+    sources with two outgoing half-edges.  The cell map sends a forest edge
+    to its child endpoint and a subdivided edge to its fresh source;
+    component roots are exactly the vertices not hit.
     """
-    forest = tuple(sorted(forest))
+    forest = tuple(forest)
     if g.directed:
         raise GraphError("forest_orient starts from an undirected graph")
     nv = g.n_vertices
     for i in forest:
         if not 0 <= i < g.n_edges or g.is_loop(i):
             raise GraphError("forest contains a loop or a bad edge id")
+    joins = [(v, nv) for (_, v) in g.marks]
+    if (len(forest) != nv - len(g.marks)
+            or _b1_bound(nv + 1, joins + [g.edges[i] for i in forest])):
+        raise GraphError("forest is not a spanning forest with one marking per component")
     adj = {}
     for i in forest:
         (u, v) = g.edges[i]
         adj.setdefault(u, []).append((v, i))
         adj.setdefault(v, []).append((u, i))
-    owner = {}
-    parent_edge = {}
-    roots = []
-    for (label, v) in g.marks:
-        if v in owner:
-            raise GraphError("forest component holds two marking labels")
-        owner[v] = label
-        roots.append((label, v))
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for (y, i) in adj.get(x, ()):  # noqa: B023 - local adjacency
-                if y not in owner:
-                    owner[y] = label
-                    parent_edge[y] = (i, x)
-                    stack.append(y)
-    if len(owner) != nv:
-        raise GraphError("forest does not cover every vertex")
-    seen_edges = {i for (i, _) in parent_edge.values()}
-    if seen_edges != set(forest):
-        raise GraphError("forest contains a cycle")
+    directed_of = {}             # forest edge -> (child, parent), toward the root
+    stack = [v for (_, v) in g.marks]
+    seen = set(stack)
+    while stack:
+        x = stack.pop()
+        for (y, i) in adj.get(x, ()):
+            if y not in seen:
+                seen.add(y)
+                directed_of[i] = (y, x)
+                stack.append(y)
 
-    edges = []
-    cell_map = [None] * g.n_edges
-    directed_of = {}
-    for y, (i, x) in parent_edge.items():
-        directed_of[i] = (y, x)      # child -> parent, toward the root
-    nv2 = nv
+    edges, cell_map, nv2 = [], [], nv
     for i, (u, v) in enumerate(g.edges):
         if i in directed_of:
             edges.append(directed_of[i])
-            cell_map[i] = directed_of[i][0]
+            cell_map.append(directed_of[i][0])
         else:
-            s = nv2
+            edges += [(nv2, u), (nv2, v)]
+            cell_map.append(nv2)
             nv2 += 1
-            edges.append((s, u))
-            edges.append((s, v))
-            cell_map[i] = s
-    weights = (0,) * nv2
-    result = Graph(weights, edges, g.marks, directed=True)
+    result = Graph((0,) * nv2, edges, g.marks, directed=True)
     if genus(result) != genus(g):
         raise GraphError("orientation functor changed the genus")
-    root_vs = tuple(v for (_, v) in sorted(roots))
-    return ForestOrientedGraph(source=g, forest=forest, graph=result,
-                               cell_map=tuple(cell_map), roots=root_vs)
+    return ForestOrientedGraph(graph=result, cell_map=tuple(cell_map),
+                               roots=tuple(v for (_, v) in g.marks))
 
 
 def psi_matrix(marked: GradedComplex, oriented: GradedComplex) -> dict:
@@ -150,18 +136,6 @@ class ChainMapReport:
     completion_solvable: bool
     completion_support: dict
     failure: dict | None = None
-
-    def to_dict(self):
-        return {
-            "passed": self.passed,
-            "global_sign": self.global_sign,
-            "convention": self.convention,
-            "frozen_identity": self.frozen_identity,
-            "full_identity": self.full_identity,
-            "completion_solvable": self.completion_solvable,
-            "completion_support": {str(k): v for k, v in self.completion_support.items()},
-            "failure": self.failure,
-        }
 
 
 def _chain_sides(psi, marked, oriented, k):
@@ -256,27 +230,19 @@ def verify_chain_map(psi: dict, marked: GradedComplex,
                   "frozen_differential": "subdividers_frozen"}
     eps, failure = _identity_sign(psi, marked, oriented_frozen)
     frozen_ok = failure is None
-    if not frozen_ok:
-        report = ChainMapReport(passed=False, global_sign=None, convention=convention,
-                                frozen_identity=False, full_identity=False,
-                                completion_solvable=False, completion_support={},
-                                failure=failure)
-        return report, None
-    completed, solvable, support = complete_chain_map(psi, marked, oriented_full, eps)
-    full_ok = False
-    failure = None
+    completed, solvable, support = None, False, {}
+    if frozen_ok:
+        completed, solvable, support = complete_chain_map(psi, marked, oriented_full, eps)
     if solvable:
         eps2, failure = _identity_sign(completed, marked, oriented_full)
-        full_ok = failure is None and eps2 == eps
         if failure is None and eps2 != eps:
             failure = {"mixed_sign_between_variants": [eps, eps2]}
-            full_ok = False
-    report = ChainMapReport(passed=frozen_ok and solvable and full_ok,
-                            global_sign=eps, convention=convention,
+    full_ok = solvable and failure is None
+    report = ChainMapReport(passed=full_ok, global_sign=eps, convention=convention,
                             frozen_identity=frozen_ok, full_identity=full_ok,
                             completion_solvable=solvable,
                             completion_support=support, failure=failure)
-    return report, (completed if report.passed else None)
+    return report, (completed if full_ok else None)
 
 
 @dataclass
@@ -285,11 +251,6 @@ class QuasiIsoReport:
     per_degree: list
     marked_betti: dict
     oriented_betti: dict
-
-    def to_dict(self):
-        return {"passed": self.passed, "per_degree": self.per_degree,
-                "marked_betti": {str(k): v for k, v in sorted(self.marked_betti.items())},
-                "oriented_betti": {str(k): v for k, v in sorted(self.oriented_betti.items())}}
 
 
 def _induced_rank(psi_k, marked, oriented, k, seed=0):
@@ -358,16 +319,21 @@ class VerificationReport:
                 and self.quasi_iso.passed)
 
     def to_json(self) -> str:
-        doc = {"genus": self.genus, "n": len(self.labels),
-               "labels": list(self.labels),
-               "passed": self.passed,
-               "dims": {f: {str(k): v for k, v in sorted(d.items())}
-                        for f, d in self.dims.items()},
-               "betti_shift_ok": self.betti_shift_ok,
-               "chain_map": self.chain_map.to_dict(),
-               "quasi_iso": self.quasi_iso.to_dict(),
-               "timings": {k: round(v, 3) for k, v in self.timings.items()}}
+        """Every field, with ``n``, ``passed`` and the timings rounded to
+        milliseconds; degree keys are strings, so they sort as strings."""
+        doc = _plain(asdict(self))
+        doc.update(n=len(self.labels), passed=self.passed,
+                   timings={k: round(v, 3) for k, v in self.timings.items()})
         return json.dumps(doc, indent=1, sort_keys=True)
+
+
+def _plain(x):
+    """``x`` with every mapping key a string and every tuple a list."""
+    if isinstance(x, dict):
+        return {str(k): _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    return x
 
 
 def run_verification(g: int, labels, threads: int = 1, seed: int = 0,

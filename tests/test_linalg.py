@@ -384,6 +384,14 @@ def test_multiply_associative():
         assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
 
 
+@pytest.mark.parametrize("shape", [(2, -3), (-1, 2), (2.5, 3), (2, Fraction(7, 2))])
+def test_impossible_shape_is_refused(shape):
+    # a negative dimension once built a 2x-3 matrix or failed later in
+    # ``rows``, and a fractional one was truncated
+    with pytest.raises(ValueError):
+        SparseIntMatrix(*shape)
+
+
 def test_multiply_shape_mismatch():
     with pytest.raises(ValueError):
         multiply(SparseIntMatrix(2, 3), SparseIntMatrix(2, 3))

@@ -1,7 +1,9 @@
 """Spanning-forest correspondence: the orientation functor, the chain map,
 and the induced isomorphism on cohomology."""
+import json
 import re
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 
@@ -14,7 +16,8 @@ from ogclab.catalogs import generate_marked, generate_oriented, spanning_forests
 from ogclab.complexes import build_marked_complex, build_oriented_complexes
 from ogclab import linalg, zivkovic
 from ogclab.linalg import RankError, SparseIntMatrix, _without_rows, multiply, solve_columns
-from ogclab.zivkovic import (_induced_rank, _solve_in_kernel, forest_orient,
+from ogclab.zivkovic import (ChainMapReport, QuasiIsoReport, VerificationReport,
+                             _induced_rank, _solve_in_kernel, forest_orient,
                              psi_matrix, run_verification, verify_chain_map,
                              verify_quasi_iso)
 
@@ -74,6 +77,39 @@ def test_forest_orient_rejects_bad_forest():
     loop = Graph([0], [(0, 0)], [(1, 0)])
     with pytest.raises(GraphError):
         forest_orient(loop, (0,))   # loops never belong to a forest
+
+
+def test_forest_orient_rejects_a_repeated_edge():
+    # naming a forest edge twice once passed every check: the walk from the
+    # roots saw each edge once and the set of edges walked matched
+    g = Graph([0, 0, 0], [(0, 0), (0, 1), (0, 2), (1, 2)], [(1, 1), (2, 2)])
+    assert (1,) in spanning_forests(g)
+    with pytest.raises(GraphError):
+        forest_orient(g, (1, 1))
+    repeated = [(e.graph, f + f[:1]) for e in generate_marked(2, labels(2)).entries()
+                for f in spanning_forests(e.graph) if f]
+    assert len(repeated) == 52
+    for graph, forest in repeated:
+        with pytest.raises(GraphError):
+            forest_orient(graph, forest)
+
+
+def test_forest_orient_accepts_exactly_the_spanning_forests():
+    # every edge subset of every marked cell, loops and killed cells included
+    subsets = 0
+    for (g, n) in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (0, 4), (0, 5)]:
+        for entry in generate_marked(g, labels(n)).entries():
+            graph = entry.graph
+            forests = set(spanning_forests(graph))
+            for bits in range(1 << graph.n_edges):
+                subset = tuple(i for i in range(graph.n_edges) if bits >> i & 1)
+                subsets += 1
+                if subset in forests:
+                    forest_orient(graph, subset)
+                else:
+                    with pytest.raises(GraphError):
+                        forest_orient(graph, subset)
+    assert subsets == 906
 
 
 def test_vertex_count_identity_and_stability():
@@ -148,7 +184,7 @@ def test_chain_map_small():
         mx, full, frozen = stack(g, n)
         psi = psi_matrix(mx, full)
         report, completed = verify_chain_map(psi, mx, full, frozen)
-        assert report.passed, (g, n, report.to_dict())
+        assert report.passed, (g, n, report)
         assert report.frozen_identity and report.full_identity
         assert completed is not None
 
@@ -209,7 +245,7 @@ def test_quasi_iso_small():
         psi = psi_matrix(mx, full)
         _, completed = verify_chain_map(psi, mx, full, frozen)
         report = verify_quasi_iso(completed, mx, full)
-        assert report.passed, (g, n, report.to_dict())
+        assert report.passed, (g, n, report)
 
 
 def test_quasi_iso_fails_at_genus_zero_with_clumped_labels():
@@ -328,3 +364,69 @@ def test_run_verification_report_json():
     assert doc["passed"] is True
     assert doc["chain_map"]["global_sign"] in (1, -1)
     assert doc["quasi_iso"]["passed"] is True
+
+
+CONVENTION = {"flow": "toward-marking", "subdivision": "double-outgoing-source",
+              "roots": "last", "frozen_differential": "subdividers_frozen"}
+
+
+def test_chain_map_report_on_each_failing_branch(monkeypatch):
+    # every field of the report where the frozen identity fails, where the
+    # completion has no solution, and where the two variants need opposite
+    # signs; none of them hands on a completed family
+    mx, full, frozen = stack(1, 3)
+    psi = psi_matrix(mx, full)
+    eps, _ = zivkovic._identity_sign(psi, mx, frozen)
+    sign = zivkovic._identity_sign
+    broken = {"degree": 2, "entry": [0, 1], "lhs": "1", "rhs": "0"}
+
+    def report(**fields):
+        return {"convention": CONVENTION, "completion_support": {}, "failure": None,
+                "passed": False, "full_identity": False, **fields}
+
+    def run():
+        rep, completed = verify_chain_map(psi, mx, full, frozen)
+        assert completed is None
+        return asdict(rep)
+
+    with monkeypatch.context() as m:
+        m.setattr(zivkovic, "_identity_sign", lambda *a: (None, broken))
+        m.setattr(zivkovic, "complete_chain_map", lambda *a: pytest.fail("completed"))
+        assert run() == report(global_sign=None, frozen_identity=False,
+                               completion_solvable=False, failure=broken)
+    with monkeypatch.context() as m:
+        m.setattr(zivkovic, "_solve_in_kernel", lambda *a: None)
+        assert run() == report(global_sign=eps, frozen_identity=True,
+                               completion_solvable=False)
+    with monkeypatch.context() as m:
+        m.setattr(zivkovic, "_identity_sign",
+                  lambda p, mk, o: sign(p, mk, o) if o is frozen else (-eps, None))
+        assert run() == report(global_sign=eps, frozen_identity=True,
+                               completion_solvable=True, completion_support={3: 15},
+                               failure={"mixed_sign_between_variants": [eps, -eps]})
+
+
+def test_report_json_sorts_degree_keys_as_strings():
+    rows = [{"marked_degree": 9, "oriented_degree": 10, "h_marked": 1,
+             "h_oriented": 1, "induced_rank": 1, "iso": True}]
+    rep = VerificationReport(
+        genus=2, labels=(3, 1), dims={"marked": {9: 4, 10: 5}, "oriented": {10: 6}},
+        betti_shift_ok=True,
+        chain_map=ChainMapReport(passed=True, global_sign=-1, convention=CONVENTION,
+                                 frozen_identity=True, full_identity=True,
+                                 completion_solvable=True, completion_support={9: 2, 10: 3}),
+        quasi_iso=QuasiIsoReport(passed=True, per_degree=rows,
+                                 marked_betti={10: 0, 9: 1}, oriented_betti={10: 1}),
+        timings={"betti": 0.12345})
+    text = rep.to_json()
+    assert text == json.dumps({
+        "genus": 2, "n": 2, "labels": [3, 1], "passed": True, "betti_shift_ok": True,
+        "dims": {"marked": {"9": 4, "10": 5}, "oriented": {"10": 6}},
+        "chain_map": {"passed": True, "global_sign": -1, "convention": CONVENTION,
+                      "frozen_identity": True, "full_identity": True,
+                      "completion_solvable": True,
+                      "completion_support": {"9": 2, "10": 3}, "failure": None},
+        "quasi_iso": {"passed": True, "per_degree": rows,
+                      "marked_betti": {"9": 1, "10": 0}, "oriented_betti": {"10": 1}},
+        "timings": {"betti": 0.123}}, indent=1, sort_keys=True)
+    assert text.index('"10": 5') < text.index('"9": 4')
