@@ -20,9 +20,10 @@ one discrete at the initial colouring skips refinement as well.
 
 ``_labelling`` is the one labelling core: initial colour values, ranked,
 refined and searched, with the graph reached only through its incidence and
-a leaf encoder.  ``canonicalize`` runs it on a graph given as tuples, and
-the complexes run it on a contraction target given by the generator it comes
-from (``complexes._admissible_contractions``).
+a leaf encoder.  ``canonicalize`` runs it on a graph given as tuples, from
+``graphs._vertex_data``, and the complexes run it on a contraction target
+given by the generator it comes from (``complexes._admissible_contractions``).
+``orientation_killed`` is the one kill rule, for catalogs and forests alike.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from array import array
 from collections import Counter
 from math import factorial
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, _vertex_data
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
@@ -166,16 +167,9 @@ def canonicalize(weights, edges, marks, directed):
     if nv > 255 or len(edges) > 127 or min(weights) < 0 or max(weights) > 255 \
             or any(not 0 <= l <= 255 for (l, _) in marks):
         raise GraphError("graph does not fit the byte encoding")
-    deg = [0] * nv
-    for (u, v) in edges:
-        deg[u] += 1
-        deg[v] += 1
-    hairs = [[] for _ in range(nv)]
-    for (l, v) in sorted(marks):
-        hairs[v].append(l)
-    raw = [(weights[v], tuple(hairs[v]), deg[v]) for v in range(nv)]
     key, perm0, gens = _labelling(
-        raw, lambda: _incidence(nv, edges, directed),
+        _vertex_data(weights, edges, marks, directed)[0],
+        lambda: _incidence(nv, edges, directed),
         lambda perm: _encoded(weights, edges, marks, perm, directed))
     if not gens:
         return key, tuple(perm0), ()
@@ -353,16 +347,19 @@ def induced_edge_map(edges, vperm, canonical_edges, directed):
     return tuple(out)
 
 
-def edge_orientation_killed(cell, auts) -> bool:
+def orientation_killed(cell, gens) -> bool:
     """True iff some automorphism of ``cell = (weights, edges, marks,
-    directed)`` acts with sign -1 on the edge set.  Any parallel bundle (or
-    repeated loop) carries an odd swap already.  Without bundles the edge
-    sign is a homomorphism, so ``auts`` may be generators."""
+    directed)`` reverses its orientation: odd on the vertices of a directed
+    cell, odd on the edges of an undirected one, as any parallel bundle (or
+    repeated loop) is already.  Both signs are homomorphisms (the edge sign
+    once bundles are ruled out), so ``gens`` may be generators."""
     _, edges, _, directed = cell
+    if directed:
+        return any(perm_parity(a) < 0 for a in gens)
     cnt = Counter((min(u, v), max(u, v)) for (u, v) in edges)
     if any(c >= 2 for c in cnt.values()):
         return True
-    for a in auts:
+    for a in gens:
         em = induced_edge_map(edges, a, edges, directed)
         if perm_parity(em) < 0:
             return True

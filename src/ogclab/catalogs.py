@@ -42,13 +42,12 @@ import itertools
 import json
 import os
 import zlib
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .graphs import (Graph, GraphError, StabilityProfile, _acyclic, _b1_bound,
-                     _stable, json_text)
+                     _degrees, _stable, json_text)
 from .canonical import (canonicalize, decode_key, group_closure, key_tuples,
-                        automorphism_count, edge_orientation_killed, perm_parity)
+                        automorphism_count, orientation_killed)
 
 GENERATOR_VERSION = 1
 
@@ -92,7 +91,7 @@ class GraphCatalog:
 
 
 def _check_pair(g: int, labels) -> tuple:
-    if not isinstance(g, int) or g < 0:
+    if not isinstance(g, int) or isinstance(g, bool) or g < 0:
         raise GraphError(f"genus must be an integer >= 0, got {g!r}")
     labels = tuple(sorted(int(l) for l in labels))
     if len(set(labels)) != len(labels):
@@ -138,11 +137,7 @@ def connected_cores(nv: int, ne: int, max_b1: int, allow_loops: bool,
     memo = {}
 
     def hopeless(edges, left):
-        deg = [0] * nv
-        for (u, v) in edges:
-            deg[u] += 1
-            deg[v] += 1
-        needy = tuple(sorted(d for d in deg if _core_need(flavor, d)))
+        needy = tuple(sorted(d for d in _degrees(nv, edges) if _core_need(flavor, d)))
         return _least_need(flavor, needy, 2 * left, memo) > budget
 
     if ne < nv - 1 or prune and hopeless((), ne):
@@ -181,8 +176,8 @@ def _core_need(flavor, degree):
     degree and 0 from degree 3 on, for both flavours."""
     profile = _PROFILES[flavor]
     if flavor == "marked":
-        return _min_hairs(profile, degree, 0, degree)
-    return min(_oriented_min(profile, k, degree - k) for k in range(degree + 1))
+        return _min_hairs(profile, degree, 0)
+    return min(_oriented_min(profile, degree, k) for k in range(degree + 1))
 
 
 def _least_need(flavor, degrees, half_edges, memo):
@@ -303,21 +298,20 @@ def _generate(flavor, g, labels, max_cells):
                           ((key, key_tuples(key), found[key]) for key in sorted(found)))
 
 
-def _min_hairs(profile, valence, n_in, n_out):
-    """Fewest hairs that make a weight-0 vertex admissible under
-    ``profile``; a hair counts toward valence and toward the outgoing side.
-    Both shipped profiles keep admitting the vertex as hairs are added, so
-    every assignment meeting these minima is stable."""
+def _min_hairs(profile, valence, n_in):
+    """Fewest hairs that make a weight-0 vertex with ``n_in`` incoming edge
+    ends admissible under ``profile``; a hair adds to ``valence``, so to the
+    outgoing side.  Both shipped profiles keep admitting the vertex as hairs
+    are added, so every assignment meeting these minima is stable."""
     m = 0
-    while not profile.admits(0, valence + m, n_in, n_out + m):
+    while not profile.admits(0, valence + m, n_in):
         m += 1
     return m
 
 
 def _marked_decorations(nv, core, labels, profile):
     edges, auts = core
-    val = Counter(itertools.chain.from_iterable(edges))    # edge ends, a loop's two
-    minima = [_min_hairs(profile, val[v], 0, val[v]) for v in range(nv)]
+    minima = [_min_hairs(profile, d, 0) for d in _degrees(nv, edges)]
     perms = auts[1:]          # auts is sorted, so the identity comes first
     out = []
     weights = (0,) * nv
@@ -330,27 +324,29 @@ def _marked_decorations(nv, core, labels, profile):
     return out
 
 
-def _oriented_min(profile, n_in, n_out):
-    """Fewest markings the oriented decorator gives a core vertex with
-    ``n_in`` incoming and ``n_out`` outgoing edge ends, the two ends of a
+def _oriented_min(profile, degree, n_in):
+    """Fewest markings the oriented decorator gives a core vertex of
+    ``degree`` with ``n_in`` incoming edge ends, the two ends of a
     subdivided edge counting as incoming: ``_min_hairs``, raised to one on a
     bivalent double-outgoing vertex, the shape a subdivided edge stands for
     and is generated as."""
-    m = _min_hairs(profile, n_in + n_out, n_in, n_out)
-    if m == 0 and n_in == 0 and n_out == 2:
+    m = _min_hairs(profile, degree, n_in)
+    if m == 0 and n_in == 0 and degree == 2:
         return 1
     return m
 
 
 SUB, FWD, BWD = 0, 1, 2
 _REVERSED = (SUB, BWD, FWD)      # a choice seen from the edge's other end
+_HEADS = ((1, 1), (0, 1), (1, 0))    # per choice, whether its ends (u, v) are heads
 
 
 def _oriented_decorations(nv, core, labels, profile):
     """Oriented cells over ``core`` as ``(key, automorphism generators)``:
     each edge is subdivided (``SUB``) or directed from its lower end
     (``FWD``) or its higher end (``BWD``), and the markings are assigned
-    with at least ``_oriented_min`` at each core vertex.
+    with at least ``_oriented_min`` at each core vertex.  The core fixes
+    the degrees, so only heads are counted (``_HEADS``).
 
     Only one ``(choice, assignment)`` pair per orbit of Aut(core), together
     with the permutations inside parallel bundles, is canonicalised: the
@@ -388,10 +384,8 @@ def _oriented_decorations(nv, core, labels, profile):
             x, y = a[u], a[v]
             sources[where[(x, y) if x <= y else (y, x)]] = (members, x > y)
         images.append((a, sources))
+    deg = _degrees(nv, edges)
     ind = [0] * nv
-    out = [0] * nv
-    # per choice, the counters its ends (u, v) raise: only a tail gains out
-    counters = {SUB: (ind, ind), FWD: (out, ind), BWD: (ind, out)}
     choice = [SUB] * ne
     results = []
 
@@ -406,16 +400,16 @@ def _oriented_decorations(nv, core, labels, profile):
         if i and edges[i - 1] == edges[i]:
             opts = [c for c in opts if c >= choice[i - 1]]
         for c in opts:
-            (at_u, at_v) = counters[c]
-            at_u[u] += 1
-            at_v[v] += 1
+            (at_u, at_v) = _HEADS[c]
+            ind[u] += at_u
+            ind[v] += at_v
             choice[i] = c
             d = deficit
             for w in finishers[i]:
-                d += _oriented_min(profile, ind[w], out[w])
+                d += _oriented_min(profile, deg[w], ind[w])
             rec(i + 1, d)
-            at_u[u] -= 1
-            at_v[v] -= 1
+            ind[u] -= at_u
+            ind[v] -= at_v
 
     def finish():
         fixing = []
@@ -442,7 +436,7 @@ def _oriented_decorations(nv, core, labels, profile):
                 es.append((v, u))
         if not _acyclic(nv2, es):
             return
-        minima = [_oriented_min(profile, ind[v], out[v]) for v in range(nv)]
+        minima = [_oriented_min(profile, deg[v], ind[v]) for v in range(nv)]
         weights = (0,) * nv2
         es = tuple(es)
         for assign in _assignments(nv, n, minima):
@@ -467,20 +461,10 @@ def _build_catalog(flavor, g, labels, cells):
     strata = {}
     for key, cell, gens in cells:
         deg = key[2] if flavor == "marked" else key[1]
-        strata.setdefault(deg, []).append(_entry(flavor, key, cell, gens))
+        strata.setdefault(deg, []).append(CatalogEntry(
+            key=key, killed=orientation_killed(cell, gens),
+            aut_order=automorphism_count(cell, gens)))
     return GraphCatalog(flavor=flavor, genus=g, labels=labels, strata=strata)
-
-
-def _entry(flavor, key, cell, gens):
-    """Entry for the canonical ``key``, decoded to ``cell``, with
-    automorphism generators ``gens``.  Kill flags are read off the
-    generators, as both signs are homomorphisms (the edge sign once parallel
-    bundles, which kill outright, are ruled out)."""
-    if flavor == "marked":
-        killed = edge_orientation_killed(cell, gens)
-    else:
-        killed = any(perm_parity(a) < 0 for a in gens)
-    return CatalogEntry(key=key, killed=killed, aut_order=automorphism_count(cell, gens))
 
 
 # -- spanning forests -----------------------------------------------------------------
@@ -510,7 +494,7 @@ def save_catalog(cat: GraphCatalog, path: str) -> None:
     os.makedirs(path, exist_ok=True)
     index = {"flavor": cat.flavor, "genus": cat.genus,
              "labels": list(cat.labels), "version": GENERATOR_VERSION,
-             "profile": {"flavor": cat.profile.flavor, "strict": False},
+             "profile": {"flavor": cat.flavor, "strict": False},
              "strata": {}}
     for deg in cat.degrees():
         files = []
@@ -600,6 +584,9 @@ def generate_or_load(flavor: str, g: int, labels,
     catalog that cannot be read, or that is for other parameters, is
     generated afresh and replaced.  ``max_cells`` caps a loaded catalog as it
     caps a generated one."""
+    if flavor not in _PROFILES:
+        raise GraphError(f"unknown catalog flavour {flavor!r}")
+    labels = _check_pair(g, labels)
     path = cache_path(flavor, g, labels)
     if path and os.path.exists(path):
         try:
@@ -607,7 +594,7 @@ def generate_or_load(flavor: str, g: int, labels,
         except GraphError:
             pass        # unreadable or partial: generated again below
         else:
-            if (cat.flavor, cat.genus, cat.labels) == (flavor, g, _check_pair(g, labels)):
+            if (cat.flavor, cat.genus, cat.labels) == (flavor, g, labels):
                 if max_cells is not None and cat.total() > max_cells:
                     raise ResourceCapExceeded(
                         f"{flavor} catalog for (g={g}, n={len(cat.labels)}) "

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph, GraphError, StabilityProfile
+from .graphs import Graph, GraphError, StabilityProfile, _vertex_data
 from .canonical import _encoded, _incidence, _labelling, decode_key, key_tuples, perm_parity
 from .catalogs import GraphCatalog
 from .linalg import SparseIntMatrix, _agreed, _field_ranks, _pack, _random_primes, _with_cols
@@ -206,56 +206,43 @@ def _admissible_contractions(g, profile: StabilityProfile):
     Never a loop or an edge with a parallel partner: either would raise a
     weight.  The target must be stable and, when directed, acyclic, which is
     decided locally.  Only the merged vertex changes its degrees, so it alone
-    is tested for stability.  Contracting ``a -> b`` closes a directed cycle
-    iff another directed path leads from ``a`` to ``b``.  ``subdivider``
-    flags an edge leaving a bivalent unmarked double-outgoing source, which
-    the frozen variant leaves uncontracted.
+    is tested, read off the generator's tally (``graphs._vertex_data``).
+    Contracting ``a -> b`` closes a directed cycle iff another directed path
+    leads from ``a`` to ``b``.  ``subdivider`` flags an edge leaving a
+    bivalent unmarked double-outgoing source, which the frozen variant
+    leaves uncontracted.
 
     No target is built.  It is labelled on the generator's quotient: the
     generator's vertices numbered through ``_merging``, with the generator's
     other edges and its marks.  The initial colour values (weight, hair
-    labels, degree) of the unmerged vertices are the generator's, counted
-    once with the admissibility counts; the merged vertex's come from its
-    two ends.  ``canonical._labelling`` ranks and refines them over the
-    quotient's incidence, built only when the initial colouring is not
-    discrete, and searches when refinement leaves a cell of more than one
-    vertex, with the quotient numbered as the target is, so the key and
-    the relabelling are ``canonicalize``'s.  A merged weight past a byte
+    labels, degree) of the unmerged vertices are the generator's, from the
+    same tally; the merged vertex's come from its two ends.
+    ``canonical._labelling`` ranks and refines them over the quotient's
+    incidence, built only when the initial colouring is not discrete, and
+    searches when refinement leaves a cell of more than one vertex, with
+    the quotient numbered as the target is, so the key and the relabelling
+    are ``canonicalize``'s.  A merged weight past a byte
     raises ``GraphError``, as ``canonicalize`` would."""
     weights, edges, marks, directed = g
     nv = len(weights)
-    # per vertex as is_stable counts them: valence with a loop counted
-    # twice, half-edges in, half-edges out (hairs included); and the degree
-    # and hair labels of the initial colour
-    deg, n_in, n_out = [0] * nv, [0] * nv, [0] * nv
-    hairs = [[] for _ in range(nv)]
+    raw, n_in = _vertex_data(weights, edges, marks, directed)
     succ = [[] for _ in range(nv)]
     bundles = {}
     for (u, v) in edges:
-        deg[u] += 1
-        deg[v] += 1
         pair = (u, v) if u <= v else (v, u)
         bundles[pair] = bundles.get(pair, 0) + 1
         if directed:
-            n_out[u] += 1
-            n_in[v] += 1
             succ[u].append(v)
-    for (l, v) in sorted(marks):
-        hairs[v].append(l)
-    val = [deg[v] + len(hairs[v]) for v in range(nv)]
-    n_out = [n_out[v] + len(hairs[v]) for v in range(nv)] if directed else val
-    raw = [(weights[v], tuple(hairs[v]), deg[v]) for v in range(nv)]
-    d_in, d_out = (1, 1) if directed else (0, 2)
     for e, (a, b) in enumerate(edges):
         if a == b or bundles[(a, b) if a < b else (b, a)] > 1:
             continue
-        if not profile.admits(weights[a] + weights[b], val[a] + val[b] - 2,
-                              n_in[a] + n_in[b] - d_in, n_out[a] + n_out[b] - d_out):
+        (wa, ha, da), (wb, hb, db) = raw[a], raw[b]
+        w = wa + wb
+        if not profile.admits(w, da + db - 2 + len(ha) + len(hb), n_in[a] + n_in[b] - directed):
             continue
         if directed and _reaches(succ, a, b):
             continue
         lo, hi = (a, b) if a < b else (b, a)
-        w = weights[a] + weights[b]
         if w > 255:
             raise GraphError("graph does not fit the byte encoding")
         ends = _merging(nv, a, b)
@@ -264,11 +251,11 @@ def _admissible_contractions(g, profile: StabilityProfile):
         tweights[lo] = w
         del tweights[hi]
         traw = raw[:hi] + raw[hi + 1:]
-        traw[lo] = (w, tuple(sorted(hairs[a] + hairs[b])), deg[a] + deg[b] - 2)
+        traw[lo] = (w, tuple(sorted(ha + hb)), da + db - 2)
         key, vertex_map, _ = _labelling(
             traw, lambda: _incidence(nv - 1, rest, directed, ends),
             lambda perm: _encoded(tweights, rest, marks, perm, directed, ends))
-        subdivider = directed and not hairs[a] and n_in[a] == 0 and n_out[a] == 2
+        subdivider = directed and not ha and n_in[a] == 0 and da == 2
         yield e, key, vertex_map, subdivider
 
 
@@ -347,6 +334,10 @@ def _assemble(catalog: GraphCatalog, variants, sign) -> list:
     return cxs
 
 
+def _named(cx: GradedComplex) -> str:
+    return f"{cx.flavor}(g={cx.genus},n={len(cx.labels)}) ({cx.variant})"
+
+
 def _check_d_squared(cx: GradedComplex) -> None:
     for k in cx.degrees():
         if k - 1 not in cx.diffs:
@@ -355,9 +346,8 @@ def _check_d_squared(cx: GradedComplex) -> None:
         if not prod.is_zero():
             (i, j) = sorted(prod.entries)[0]
             raise ComplexError(
-                f"d^2 != 0 in {cx.flavor}(g={cx.genus},n={len(cx.labels)}) "
-                f"({cx.variant}) at degree {k}: generator {j} hits degree-{k - 2} "
-                f"generator {i} with coefficient {prod.entries[(i, j)]}")
+                f"d^2 != 0 in {_named(cx)} at degree {k}: generator {j} hits "
+                f"degree-{k - 2} generator {i} with coefficient {prod.entries[(i, j)]}")
 
 
 # -- Betti tables ----------------------------------------------------------------
@@ -409,7 +399,7 @@ def betti(cx: GradedComplex, seed: int = 0) -> BettiTable:
         r_out = cx.rank_of_differential(k + 1, seed=seed)
         table[k] = dims[k] - r_in - r_out
         if table[k] < 0:
-            raise ComplexError(f"negative Betti number at degree {k}")
+            raise ComplexError(f"negative Betti number in {_named(cx)} at degree {k}")
     return BettiTable(flavor=cx.flavor, genus=cx.genus, labels=cx.labels,
                       dims=dims, betti=table)
 
@@ -423,8 +413,7 @@ def euler_characteristic(cx: GradedComplex, table: BettiTable | None = None,
     chi_dim = table.euler_from_dims()
     chi_betti = table.euler_from_betti()
     if chi_dim != chi_betti:
-        raise ComplexError(
-            f"Euler mismatch for {cx.flavor}(g={cx.genus}): {chi_dim} vs {chi_betti}")
+        raise ComplexError(f"Euler mismatch in {_named(cx)}: {chi_dim} vs {chi_betti}")
     return chi_dim, chi_betti
 
 

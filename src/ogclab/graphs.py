@@ -20,7 +20,8 @@ Connectivity and the first Betti number come from one union-find
 (``_b1_bound``), acyclicity from one Kahn peel (``_acyclic``) and stability
 from ``_stable``, all on plain tuples, so the catalog code checks the tuples
 of a canonical key with them; ``is_connected``, ``is_acyclic`` and
-``is_stable`` wrap them for a ``Graph``.
+``is_stable`` wrap them for a ``Graph``.  Every per-vertex count is read off
+one tally, ``_degrees`` and the ``_vertex_data`` built on it.
 
 ``contract_edge`` is the contraction both differentials sum over; the
 assembly in ``complexes`` performs it on key tuples, and this function is its
@@ -169,6 +170,29 @@ def _acyclic(nv, edges) -> bool:
     return seen == nv
 
 
+def _degrees(nv, edges) -> list:
+    """Edge ends at each of the ``nv`` vertices, a loop's two counted."""
+    deg = [0] * nv
+    for (u, v) in edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+def _vertex_data(weights, edges, marks, directed):
+    """``(raw, n_in)``: per vertex, ``raw[v] = (weight, hair labels
+    ascending, degree)``, the colour value canonical labelling starts from,
+    and ``n_in[v]`` incoming edge ends, all 0 when undirected."""
+    nv = len(weights)
+    n_in = [0] * nv
+    for (_, v) in edges if directed else ():
+        n_in[v] += 1
+    hairs = [()] * nv
+    for (l, v) in sorted(marks):
+        hairs[v] += (l,)
+    return list(zip(weights, hairs, _degrees(nv, edges))), n_in
+
+
 @dataclass(frozen=True)
 class StabilityProfile:
     """Per-vertex admissibility rule for the two graph flavours; ``admits``
@@ -182,28 +206,28 @@ class StabilityProfile:
     half-edge (hairs outgoing).  ``require_outgoing`` demands at least one
     outgoing half-edge or marking at weight-0 vertices.
     """
-    flavor: str
     min_valence: dict = field(default_factory=dict)
     forbid_passing: bool = False
     require_outgoing: bool = False
 
     @staticmethod
     def marked() -> "StabilityProfile":
-        return StabilityProfile(flavor="marked", min_valence={0: 3})
+        return StabilityProfile(min_valence={0: 3})
 
     @staticmethod
     def oriented() -> "StabilityProfile":
-        return StabilityProfile(flavor="oriented", min_valence={0: 2},
-                                forbid_passing=True, require_outgoing=True)
+        return StabilityProfile(min_valence={0: 2}, forbid_passing=True,
+                                require_outgoing=True)
 
-    def admits(self, weight, valence, n_in, n_out) -> bool:
-        """Whether one vertex passes.  ``valence`` and ``n_out`` count its
-        hairs; ``n_in`` is 0 in an undirected graph, where every half-edge
-        counts as outgoing."""
+    def admits(self, weight, valence, n_in) -> bool:
+        """Whether one vertex passes.  ``valence`` counts its hairs and
+        ``n_in`` its incoming edge ends, 0 in an undirected graph; every
+        other half-edge, hairs included, is outgoing."""
         minval = self.min_valence.get(weight)
         if minval is not None and valence < minval:
             return False
         if weight == 0:
+            n_out = valence - n_in
             if self.require_outgoing and n_out < 1:
                 return False
             if self.forbid_passing and n_in == 1 and n_out == 1:
@@ -216,21 +240,9 @@ def is_stable(g: Graph, profile: StabilityProfile) -> bool:
 
 
 def _stable(weights, edges, marks, directed, profile) -> bool:
-    """Whether ``profile`` admits every vertex of the graph given as
-    tuples, its hairs counted into valence and the outgoing side."""
-    nv = len(weights)
-    val, n_in, n_out = [0] * nv, [0] * nv, [0] * nv
-    for (u, v) in edges:
-        val[u] += 1
-        val[v] += 1
-        n_out[u] += 1
-        n_in[v] += 1
-    for (_, v) in marks:
-        val[v] += 1
-        n_out[v] += 1
-    if not directed:
-        n_in, n_out = [0] * nv, val
-    return all(profile.admits(weights[v], val[v], n_in[v], n_out[v]) for v in range(nv))
+    """Whether ``profile`` admits every vertex of the graph given as tuples."""
+    raw, n_in = _vertex_data(weights, edges, marks, directed)
+    return all(profile.admits(w, deg + len(hairs), k) for (w, hairs, deg), k in zip(raw, n_in))
 
 
 # -- contraction moves -------------------------------------------------------

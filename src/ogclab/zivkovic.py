@@ -20,9 +20,9 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .graphs import Graph, GraphError, _b1_bound, genus
-from .canonical import canonical_form, perm_parity
+from .canonical import canonical_form, key_tuples, orientation_killed, perm_parity
 from .catalogs import generate_or_load, spanning_forests
-from .complexes import (GradedComplex, betti, betti_shift_matches,
+from .complexes import (ComplexError, GradedComplex, betti, betti_shift_matches,
                         build_marked_complex, build_oriented_complexes,
                         euler_characteristic)
 from .linalg import SparseIntMatrix, _pack, _pairs, _with_cols, _without_rows, solve_columns
@@ -97,7 +97,8 @@ def psi_matrix(marked: GradedComplex, oriented: GradedComplex) -> dict:
 
     The orientation of the image transports the edge order of the source
     through the cell map and appends the component roots (by label) at the
-    end; generators absent from the oriented basis contribute zero.
+    end.  A killed image (``orientation_killed``) contributes zero; any
+    other image outside oriented degree ``k + n`` raises ``ComplexError``.
     """
     if (marked.genus, marked.labels) != (oriented.genus, oriented.labels):
         raise GraphError("complexes are for different (g, S)")
@@ -114,10 +115,13 @@ def psi_matrix(marked: GradedComplex, oriented: GradedComplex) -> dict:
                 cf = canonical_form(fo.graph)
                 pos = oriented.index_of(cf.key)
                 if pos is None:
-                    continue   # killed by an orientation-reversing automorphism
+                    if orientation_killed(key_tuples(cf.key), cf.gens):
+                        continue
+                    raise ComplexError(f"forest {forest} of degree-{k} generator {col} ({g!r})"
+                                       f" gives {cf.graph!r}, neither killed nor a generator")
                 (kk, row) = pos
                 if kk != k + n:
-                    raise GraphError(
+                    raise ComplexError(
                         f"forest image of a degree-{k} generator landed in "
                         f"oriented degree {kk}, expected {k + n}")
                 acc[row] = acc.get(row, 0) + perm_parity([cf.vertex_map[x] for x in order])
@@ -342,33 +346,33 @@ def run_verification(g: int, labels, threads: int = 1, seed: int = 0,
     comparison, chain map and quasi-isomorphism checks.  ``threads`` is
     accepted for compatibility and has no effect: the run is sequential."""
     timings = {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     mcat = generate_or_load("marked", g, labels, max_cells=max_cells)
     ocat = generate_or_load("oriented", g, labels, max_cells=max_cells)
-    timings["generate"] = time.time() - t0
-    t0 = time.time()
+    timings["generate"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     marked = build_marked_complex(mcat)
     or_full, or_frozen = build_oriented_complexes(ocat)
     del mcat, ocat      # nothing after assembly reads the catalogs
-    timings["complexes"] = time.time() - t0
-    t0 = time.time()
+    timings["complexes"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     mt = betti(marked, seed=seed)
     ot = betti(or_full, seed=seed)
     euler_characteristic(marked, mt)
     euler_characteristic(or_full, ot)
     shift_ok = betti_shift_matches(mt, ot)
-    timings["betti"] = time.time() - t0
-    t0 = time.time()
+    timings["betti"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     psi = psi_matrix(marked, or_full)
     chain_report, completed = verify_chain_map(psi, marked, or_full, or_frozen)
-    timings["chain_map"] = time.time() - t0
-    t0 = time.time()
+    timings["chain_map"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     if completed is not None:
         quasi = verify_quasi_iso(completed, marked, or_full, seed=seed)
     else:
         quasi = QuasiIsoReport(passed=False, per_degree=[],
                                marked_betti=mt.betti, oriented_betti=ot.betti)
-    timings["quasi_iso"] = time.time() - t0
+    timings["quasi_iso"] = time.perf_counter() - t0
     dims = {"marked": {k: marked.dim(k) for k in marked.degrees()},
             "oriented": {k: or_full.dim(k) for k in or_full.degrees()}}
     return VerificationReport(genus=g, labels=tuple(sorted(labels)), dims=dims,

@@ -36,7 +36,7 @@ def oriented_decorations(nv, core, labels, profile):
     results = []
 
     def profile_min(v):
-        m = _min_hairs(profile, ind[v] + out[v], ind[v], out[v])
+        m = _min_hairs(profile, ind[v] + out[v], ind[v])
         if m == 0 and ind[v] == 0 and out[v] == 2:
             # identical to a subdivided edge; that shape is generated there
             m = 1

@@ -1,4 +1,5 @@
 """Canonical forms, automorphisms, kill rules and orientation signs."""
+import itertools
 import random
 import sys
 
@@ -10,8 +11,8 @@ import reference_canon
 
 from ogclab.graphs import Graph, GraphError
 from ogclab.canonical import (_encoded, canonical_form, canonicalize, decode_key,
-                              edge_orientation_killed, group_closure,
-                              induced_edge_map, perm_parity)
+                              group_closure, induced_edge_map, orientation_killed,
+                              perm_parity)
 from ogclab.catalogs import connected_cores
 
 
@@ -113,7 +114,7 @@ def test_aut_order_matches_brute_force():
 
 def edges_killed(g):
     cf = canonical_form(g)
-    return edge_orientation_killed(cf.graph.key(), cf.gens)
+    return orientation_killed(cf.graph.key(), cf.gens)
 
 
 def vertices_killed(g):
@@ -229,14 +230,42 @@ def test_pruned_search_invariant_under_relabeling():
             assert group_closure(again.gens, g.n_vertices) == group_closure(cf.gens, g.n_vertices)
 
 
+def killed_by_brute_force(g, auts):
+    """Whether an element of the group ``auts`` reverses the orientation of
+    ``g``, trying for an undirected graph every edge bijection it induces,
+    the edges of each parallel bundle matched in every order."""
+    if g.directed:
+        return any(orientation_sign(g, a) < 0 for a in auts)
+    bundles = {}
+    for i, e in enumerate(g.edges):
+        bundles.setdefault(e, []).append(i)
+
+    def swaps(groups):      # lazily: a bundle of 10 loops has 10! orders
+        if not groups:
+            yield list(range(g.n_edges))
+            return
+        for order in itertools.permutations(groups[0]):
+            for swap in swaps(groups[1:]):
+                for i, j in zip(groups[0], order):
+                    swap[i] = j
+                yield swap
+    return any(perm_parity([s[x] for x in induced_edge_map(g.edges, a, g.edges, False)]) < 0
+               for a in auts for s in swaps(list(bundles.values())))
+
+
 def test_kill_flags_from_generators_match_full_group():
     rng = random.Random(11)
+    kinds = set()
     for _ in range(300):
         g = Graph(*_random_graph(rng))
         cf = canonical_form(g)
         auts = group_closure(cf.gens, g.n_vertices)
         assert vertices_killed(g) == any(perm_parity(a) < 0 for a in auts)
-        assert edges_killed(g) == edge_orientation_killed(cf.graph.key(), auts)
+        assert edges_killed(g) == orientation_killed(cf.graph.key(), auts)
+        killed = orientation_killed(cf.graph.key(), cf.gens)
+        assert killed == killed_by_brute_force(cf.graph, auts), g
+        kinds.add((g.directed, killed))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_core_counts_pinned():

@@ -15,8 +15,8 @@ import oracle
 import reference_catalogs
 
 import ogclab.catalogs as catalogs
-from ogclab.graphs import (Graph, GraphError, StabilityProfile, contract_edge,
-                           genus, is_acyclic, is_stable)
+from ogclab.graphs import (Graph, GraphError, StabilityProfile, _vertex_data,
+                           contract_edge, genus, is_acyclic, is_stable)
 from ogclab.canonical import _encoded, canonical_form, canonicalize, key_tuples
 from ogclab.catalogs import (ResourceCapExceeded, _build_catalog, _core_need,
                              _min_hairs, _store, cache_path, connected_cores,
@@ -79,6 +79,21 @@ def test_unstable_pair_is_domain_error(monkeypatch):
         generate_oriented(-1, (1, 2, 3, 4, 5))
     with pytest.raises(GraphError, match="genus"):
         run_verification(-1, (1, 2, 3, 4, 5))
+    # so is a bool, although bool is an int
+    with pytest.raises(GraphError, match="genus"):
+        generate_marked(True, (1, 2, 3))
+    with pytest.raises(GraphError, match="genus"):
+        generate_oriented(False, (1, 2, 3))
+    with pytest.raises(GraphError, match="genus"):
+        run_verification(True, (1, 2))
+
+
+def test_unknown_flavour_is_refused(tmp_path, monkeypatch):
+    # refused before a cache path is formed, so no file is written either
+    monkeypatch.setenv("OGCLAB_CACHE", str(tmp_path))
+    with pytest.raises(GraphError, match="'bogus'"):
+        generate_or_load("bogus", 1, (1, 2))
+    assert not list(tmp_path.iterdir())
 
 
 def test_catalog_entries_are_valid():
@@ -216,9 +231,9 @@ def test_min_hairs_match_the_hand_written_minima():
     marked, oriented = StabilityProfile.marked(), StabilityProfile.oriented()
     for ind in range(9):
         for out in range(9):
-            assert _min_hairs(oriented, ind + out, ind, out) == reference_oriented_min(ind, out)
+            assert _min_hairs(oriented, ind + out, ind) == reference_oriented_min(ind, out)
     for deg in range(9):
-        assert _min_hairs(marked, deg, 0, deg) == reference_marked_min(deg)
+        assert _min_hairs(marked, deg, 0) == reference_marked_min(deg)
 
 
 def test_more_hairs_than_the_minimum_stay_admissible():
@@ -228,9 +243,51 @@ def test_more_hairs_than_the_minimum_stay_admissible():
             (StabilityProfile.oriented(), [(i, o) for i in range(9) for o in range(9)])]:
         for (ind, out) in counts:
             valence = ind + out
-            low = _min_hairs(profile, valence, ind, out)
+            low = _min_hairs(profile, valence, ind)
             for m in range(low, low + 5):
-                assert profile.admits(0, valence + m, ind, out + m), (profile.flavor, ind, out, m)
+                assert profile.admits(0, valence + m, ind), (profile, ind, out, m)
+
+
+# The rule StabilityProfile.admits applied when it also took the outgoing
+# count, kept as the reference.
+
+def reference_admits(profile, weight, valence, n_in, n_out):
+    minval = profile.min_valence.get(weight)
+    if minval is not None and valence < minval:
+        return False
+    if weight == 0:
+        if profile.require_outgoing and n_out < 1:
+            return False
+        if profile.forbid_passing and n_in == 1 and n_out == 1:
+            return False
+    return True
+
+
+def test_admits_derives_the_outgoing_count():
+    # every half-edge is a hair, an incoming end or an outgoing one
+    for profile in (StabilityProfile.marked(), StabilityProfile.oriented(),
+                    StabilityProfile(min_valence={1: 4}),
+                    StabilityProfile(forbid_passing=True)):
+        for w in range(3):
+            for val in range(9):
+                for n_in in range(val + 1):
+                    assert profile.admits(w, val, n_in) == reference_admits(
+                        profile, w, val, n_in, val - n_in), (profile, w, val, n_in)
+
+
+@pytest.mark.parametrize("g, n", CRIT2_PAIRS + [(0, 4), (0, 5)])
+def test_vertex_data_matches_the_oracle_tally(g, n):
+    for cat in (generate_marked(g, labels(n)), generate_oriented(g, labels(n))):
+        for entry in cat.entries():
+            weights, edges, marks, directed = cell = key_tuples(entry.key)
+            raw, n_in = _vertex_data(*cell)
+            deg, ind, _, hair = oracle.degree_data(len(weights), edges, marks)
+            assert [d for (_, _, d) in raw] == deg
+            assert n_in == (ind if directed else [0] * len(weights))
+            assert [len(h) for (_, h, _) in raw] == hair
+            assert [w for (w, _, _) in raw] == list(weights)
+            for v, (_, h, _) in enumerate(raw):
+                assert h == tuple(sorted(l for (l, x) in marks if x == v))
 
 
 # -- pruning by the marking budget ----------------------------------------------------
@@ -417,14 +474,14 @@ def test_contraction_targets_flag_subdivider_edges():
 def test_contraction_targets_check_the_merged_vertex():
     # a weight-1 vertex needing valence 4 absorbs an unmarked leaf: the
     # merged vertex has valence 3, so the contraction is not admissible
-    profile = StabilityProfile("weighted", min_valence={1: 4})
+    profile = StabilityProfile(min_valence={1: 4})
     g = Graph([1, 0], [(0, 1)], [(1, 0), (2, 0), (3, 0)])
     assert is_stable(g, profile) and not is_stable(contract_edge(g, 0), profile)
     assert targets(g, profile) == []
     heavy = Graph([1, 2], [(0, 1)], [(1, 0), (2, 0), (3, 0)])
     assert targets(heavy, profile) == [(0, Graph([3], [], [(1, 0), (2, 0), (3, 0)]), False)]
     # a source feeding a sink, whose other edge comes in: merged, it passes
-    passing = StabilityProfile("passing", forbid_passing=True)
+    passing = StabilityProfile(forbid_passing=True)
     g = Graph([0, 0, 0, 0], [(0, 1), (0, 2), (3, 1)], directed=True)
     assert is_stable(g, passing) and not is_stable(contract_edge(g, 0), passing)
     assert [e for e, _, _ in targets(g, passing)] == [1, 2]

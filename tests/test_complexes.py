@@ -117,6 +117,21 @@ def test_euler_consistency():
             assert chi_dim == chi_betti
 
 
+def test_betti_and_euler_failures_name_the_complex(monkeypatch):
+    # both use the flavor(g=..,n=..) (variant) form of the d^2 = 0 message
+    mx, ox = pair(1, 2)
+    monkeypatch.setattr(GradedComplex, "rank_of_differential",
+                        lambda self, k, seed=0: self.dim(k))
+    with pytest.raises(ComplexError) as err:
+        betti(mx)
+    assert str(err.value) == "negative Betti number in marked(g=1,n=2) (full) at degree 1"
+    monkeypatch.undo()
+    monkeypatch.setattr(BettiTable, "euler_from_betti", lambda self: 7)
+    with pytest.raises(ComplexError) as err:
+        euler_characteristic(ox)
+    assert str(err.value) == "Euler mismatch in oriented(g=1,n=2) (full): 0 vs 7"
+
+
 def test_betti_invariant_under_label_renaming():
     a = betti(build_marked_complex(generate_marked(1, (1, 2, 3)))).betti
     b = betti(build_marked_complex(generate_marked(1, (4, 7, 9)))).betti
@@ -506,7 +521,7 @@ def test_merged_weight_past_a_byte_raises():
     # the contraction labelling refuses what canonicalize refuses on the
     # contracted graph: here a merged weight of 300
     heavy = ((200, 100), ((0, 1),), ((1, 0),), False)
-    profile = StabilityProfile("weighted", min_valence={})
+    profile = StabilityProfile(min_valence={})
     with pytest.raises(GraphError, match="byte encoding"):
         list(_admissible_contractions(heavy, profile))
     with pytest.raises(GraphError, match="byte encoding"):

@@ -13,7 +13,7 @@ from ogclab.graphs import (Graph, GraphError, StabilityProfile, contract_edge,
                            genus, is_acyclic, is_stable)
 from ogclab.canonical import canonical_form
 from ogclab.catalogs import generate_marked, generate_oriented, spanning_forests
-from ogclab.complexes import build_marked_complex, build_oriented_complexes
+from ogclab.complexes import ComplexError, build_marked_complex, build_oriented_complexes
 from ogclab import linalg, zivkovic
 from ogclab.linalg import RankError, SparseIntMatrix, _without_rows, multiply, solve_columns
 from ogclab.zivkovic import (ChainMapReport, QuasiIsoReport, VerificationReport,
@@ -177,6 +177,18 @@ def test_psi_column_zero_without_forests():
     psi = psi_matrix(mx, full)
     # both (1,2) marked classes put the two labels on one vertex: no forests
     assert all(m.is_zero() for m in psi.values())
+
+
+def test_psi_refuses_an_image_neither_killed_nor_a_generator():
+    # a top-degree cell is no contraction target, so a catalog without it
+    # still assembles; the forest images that land on it must not be
+    # dropped as if they were killed
+    mc, oc = generate_marked(2, (1,)), generate_oriented(2, (1,))
+    top = oc.strata[max(oc.degrees())]
+    top.remove(next(e for e in top if not e.killed))
+    full, _ = build_oriented_complexes(oc)
+    with pytest.raises(ComplexError, match=r"degree-4 generator \d+ .* neither killed nor"):
+        psi_matrix(build_marked_complex(mc), full)
 
 
 def test_chain_map_small():
