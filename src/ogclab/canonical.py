@@ -18,11 +18,11 @@ them.  A partition that is discrete after the first refinement (the usual
 case for labelled catalog graphs) is a single leaf and skips the search, and
 one discrete at the initial colouring skips refinement as well.
 
-``_labelling`` is the one labelling core: initial colour values, ranked,
-refined and searched, with the graph reached only through its incidence and
-a leaf encoder.  ``canonicalize`` runs it on a graph given as tuples, from
-``graphs._vertex_data``, and the complexes run it on a contraction target
-given by the generator it comes from (``complexes._admissible_contractions``).
+``_labelling`` is the one labelling core, on a graph given as tuples with
+its initial colour values: ranked, refined over the incidence it builds and
+searched, each leaf encoded by ``_encoded``.  ``canonicalize`` runs it on
+``graphs._vertex_data``, and the complexes on the quotient of a generator by
+a contracted edge (``complexes._admissible_contractions``).
 ``orientation_killed`` is the one kill rule, for catalogs and forests alike.
 """
 from __future__ import annotations
@@ -71,18 +71,13 @@ def decode_key(key: bytes) -> Graph:
     return Graph(*key_tuples(key))
 
 
-def _encoded(weights, edges, marks, perm, directed, ends=None):
-    """Key of the graph relabelled by ``perm``.  With ``ends``, the vertices
-    named in ``edges`` and ``marks`` are first sent to ``ends[v]``: the
-    contraction labelling passes a generator's edges and marks with the map
-    that merges the contracted edge's ends."""
+def _encoded(weights, edges, marks, perm, directed):
+    """Key of the graph relabelled by ``perm``."""
     w = weights
     if any(weights):        # a relabelling leaves all-zero weights alone
         w = [0] * len(weights)
         for v, c in enumerate(perm):
             w[c] = weights[v]
-    if ends is not None:
-        perm = list(map(perm.__getitem__, ends))
     # each edge and mark as one 16-bit int, byte pair (x, y) as x << 8 | y,
     # which sort as the pairs do and pack big-endian into the key's bytes
     es = [perm[u] << 8 | perm[v] for (u, v) in edges]
@@ -96,15 +91,12 @@ def _encoded(weights, edges, marks, perm, directed, ends=None):
     return bytes([1 if directed else 0, len(w), len(es), len(marks), *w]) + pairs.tobytes()
 
 
-def _incidence(nv, edges, directed, ends=None):
+def _incidence(nv, edges, directed):
     """Per vertex, ``(d, w)`` for each edge end at it: ``w`` the other end,
-    ``d`` 1 at the head of a directed edge and 0 otherwise.  With ``ends``
-    the edge ends are sent to ``ends[v]`` first, as in ``_encoded``."""
+    ``d`` 1 at the head of a directed edge and 0 otherwise."""
     inc = [[] for _ in range(nv)]
     d = 1 if directed else 0
     for (u, v) in edges:
-        if ends is not None:
-            u, v = ends[u], ends[v]
         inc[u].append((0, v))
         inc[v].append((d, u))
     return inc
@@ -135,25 +127,25 @@ def _refine(nv, inc, colors):
     return colors
 
 
-def _labelling(raw, incidence, encode):
+def _labelling(raw, weights, edges, marks, directed):
     """The labelling core that ``canonicalize`` and the contraction
-    labelling in ``complexes`` share.  ``raw[v]`` is vertex ``v``'s initial
-    colour value, ``(weight, hair labels, degree)``; the values are ranked
-    into colours, refined over ``incidence()`` (called only when the
-    colouring is not already discrete) and searched below when refinement
-    leaves a cell of more than one vertex.  ``encode(perm)`` is the key of
-    the leaf ``perm``.  Returns ``(key, leaf, automorphisms found)``, the
+    labelling in ``complexes`` share, on the graph ``(weights, edges, marks,
+    directed)``.  ``raw[v]`` is vertex ``v``'s initial colour value,
+    ``(weight, hair labels, degree)``; the values are ranked into colours,
+    refined over the graph's incidence (built only when the colouring is not
+    already discrete) and searched below when refinement leaves a cell of
+    more than one vertex.  Returns ``(key, leaf, automorphisms found)``, the
     leaf a list of canonical positions and the automorphisms in input
     coordinates, none when the refined colouring is discrete."""
     nv = len(raw)
     ren = dict(zip(sorted(set(raw)), range(nv)))
     colors = list(map(ren.__getitem__, raw))
     if len(ren) < nv:
-        inc = incidence()
+        inc = _incidence(nv, edges, directed)
         colors = _refine(nv, inc, colors)
         if len(set(colors)) < nv:
-            return _search(nv, inc, colors, encode)
-    return encode(colors), colors, ()
+            return _search(nv, inc, colors, (weights, edges, marks, directed))
+    return _encoded(weights, edges, marks, colors, directed), colors, ()
 
 
 def canonicalize(weights, edges, marks, directed):
@@ -167,10 +159,8 @@ def canonicalize(weights, edges, marks, directed):
     if nv > 255 or len(edges) > 127 or min(weights) < 0 or max(weights) > 255 \
             or any(not 0 <= l <= 255 for (l, _) in marks):
         raise GraphError("graph does not fit the byte encoding")
-    key, perm0, gens = _labelling(
-        _vertex_data(weights, edges, marks, directed)[0],
-        lambda: _incidence(nv, edges, directed),
-        lambda perm: _encoded(weights, edges, marks, perm, directed))
+    key, perm0, gens = _labelling(_vertex_data(weights, edges, marks, directed)[0],
+                                  weights, edges, marks, directed)
     if not gens:
         return key, tuple(perm0), ()
     inv0 = [0] * nv
@@ -180,8 +170,9 @@ def canonicalize(weights, edges, marks, directed):
     return key, tuple(perm0), tuple(sorted(canon))
 
 
-def _search(nv, inc, colors, encode):
-    """Depth-first search of the individualisation tree below ``colors``.
+def _search(nv, inc, colors, graph):
+    """Depth-first search of the individualisation tree below ``colors``,
+    for ``graph = (weights, edges, marks, directed)`` with incidence ``inc``.
 
     Children are visited in descending vertex order.  A leaf whose key equals
     that of the first leaf or of the best leaf so far yields an automorphism
@@ -195,13 +186,14 @@ def _search(nv, inc, colors, encode):
 
     Returns ``(best key, first best leaf, automorphisms found)``.
     """
+    weights, edges, marks, directed = graph
     gens = []
     path = []
     first = best = None
 
     def leaf(perm):
         nonlocal first, best
-        key = encode(perm)
+        key = _encoded(weights, edges, marks, perm, directed)
         here = (key, perm, tuple(path))
         if first is None:
             first = best = here

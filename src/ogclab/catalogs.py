@@ -91,9 +91,13 @@ class GraphCatalog:
 
 
 def _check_pair(g: int, labels) -> tuple:
-    if not isinstance(g, int) or isinstance(g, bool) or g < 0:
+    if type(g) is not int or g < 0:
         raise GraphError(f"genus must be an integer >= 0, got {g!r}")
-    labels = tuple(sorted(int(l) for l in labels))
+    labels = tuple(labels)
+    for l in labels:
+        if type(l) is not int or not 0 <= l <= 255:
+            raise GraphError(f"marking label must be an integer in 0..255, got {l!r}")
+    labels = tuple(sorted(labels))
     if len(set(labels)) != len(labels):
         raise GraphError("marking labels must be distinct")
     if not labels:
@@ -455,12 +459,12 @@ def _oriented_decorations(nv, core, labels, profile):
 
 def _build_catalog(flavor, g, labels, cells):
     """Catalog from ``cells``, triples ``(canonical key, its key_tuples,
-    automorphism generators)`` in key order.  The degree is read off the key
-    header: the edge count for marked cells, the vertex count for oriented
+    automorphism generators)`` in key order.  The degree is read off the
+    tuples: the edge count for marked cells, the vertex count for oriented
     ones."""
     strata = {}
     for key, cell, gens in cells:
-        deg = key[2] if flavor == "marked" else key[1]
+        deg = len(cell[1]) if flavor == "marked" else len(cell[0])
         strata.setdefault(deg, []).append(CatalogEntry(
             key=key, killed=orientation_killed(cell, gens),
             aut_order=automorphism_count(cell, gens)))
@@ -550,7 +554,7 @@ def load_catalog(path: str) -> GraphCatalog:
             weights, edges, marks, _ = cell
             nv = len(weights)
             canon, _, gens = canonicalize(*cell)
-            if (canon != key or key[0] != directed
+            if (canon != key or cell[3] != directed
                     or tuple(l for (l, _) in marks) != labels or any(weights)
                     or not _b1_bound(nv, edges) == g == len(edges) - nv + 1
                     or not _stable(*cell, profile)
@@ -570,7 +574,7 @@ def cache_path(flavor: str, g: int, labels) -> str | None:
     root = os.environ.get("OGCLAB_CACHE")
     if not root:
         return None
-    labels = tuple(sorted(int(l) for l in labels))
+    labels = _check_pair(g, labels)
     if labels == tuple(range(1, len(labels) + 1)):
         marking = f"n{len(labels)}"
     else:

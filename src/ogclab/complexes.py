@@ -13,12 +13,13 @@ rule: contract every edge that is neither a loop nor in a parallel bundle
 directed graphs, acyclic.  Only the sign differs between the flavours.  The
 loop works on the tuples decoded from each generator's canonical key, tests
 stability at the merged vertex and acyclicity by a path search, and labels
-each target on the generator's quotient, the generator with the edge's two
-ends merged, without building the target: the per-vertex colour values
-(weight, hair labels, degree) are the generator's but at the merged vertex,
-and ``canonical._labelling``, the core ``canonicalize`` runs too, refines
-them (McKay & Piperno, *Practical graph isomorphism II*, 2014) and
-searches where refinement leaves a tie, so the key and the relabelling are
+each target on the generator's quotient, the generator's other edges and
+marks with the edge's two ends merged (``_merging``, the one merge map),
+without building the target: the per-vertex colour values (weight, hair
+labels, degree) are the generator's but at the merged vertex, and
+``canonical._labelling``, the core ``canonicalize`` runs too, refines them
+(McKay & Piperno, *Practical graph isomorphism II*, 2014) and searches where
+refinement leaves a tie, so the key and the relabelling are
 ``canonicalize``'s on the contracted graph.  ``graphs.contract_edge``,
 ``is_acyclic``, ``is_stable`` and ``canonical_form`` are the public
 reference it agrees with.  The subdivider-frozen oriented differential, the
@@ -36,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Graph, GraphError, StabilityProfile, _vertex_data
-from .canonical import _encoded, _incidence, _labelling, decode_key, key_tuples, perm_parity
+from .canonical import _labelling, decode_key, key_tuples, perm_parity
 from .catalogs import GraphCatalog
 from .linalg import SparseIntMatrix, _agreed, _field_ranks, _pack, _random_primes, _with_cols
 
@@ -213,16 +214,16 @@ def _admissible_contractions(g, profile: StabilityProfile):
     leaves uncontracted.
 
     No target is built.  It is labelled on the generator's quotient: the
-    generator's vertices numbered through ``_merging``, with the generator's
-    other edges and its marks.  The initial colour values (weight, hair
-    labels, degree) of the unmerged vertices are the generator's, from the
-    same tally; the merged vertex's come from its two ends.
-    ``canonical._labelling`` ranks and refines them over the quotient's
-    incidence, built only when the initial colouring is not discrete, and
-    searches when refinement leaves a cell of more than one vertex, with
-    the quotient numbered as the target is, so the key and the relabelling
-    are ``canonicalize``'s.  A merged weight past a byte
-    raises ``GraphError``, as ``canonicalize`` would."""
+    generator's other edges and its marks, mapped once through
+    ``_merging``, which numbers the quotient as the target is.  The initial
+    colour values (weight, hair labels, degree) of the unmerged vertices are
+    the generator's, from the same tally; the merged vertex's come from its
+    two ends.  ``canonical._labelling`` ranks them, refines them over the
+    quotient's incidence, which it builds only when the initial colouring is
+    not discrete, and searches when refinement leaves a cell of more than
+    one vertex, so the key and the relabelling are ``canonicalize``'s.  A
+    merged weight past a byte raises ``GraphError``, as ``canonicalize``
+    would."""
     weights, edges, marks, directed = g
     nv = len(weights)
     raw, n_in = _vertex_data(weights, edges, marks, directed)
@@ -246,15 +247,12 @@ def _admissible_contractions(g, profile: StabilityProfile):
         if w > 255:
             raise GraphError("graph does not fit the byte encoding")
         ends = _merging(nv, a, b)
-        rest = edges[:e] + edges[e + 1:]
-        tweights = list(weights)
-        tweights[lo] = w
-        del tweights[hi]
         traw = raw[:hi] + raw[hi + 1:]
         traw[lo] = (w, tuple(sorted(ha + hb)), da + db - 2)
         key, vertex_map, _ = _labelling(
-            traw, lambda: _incidence(nv - 1, rest, directed, ends),
-            lambda perm: _encoded(tweights, rest, marks, perm, directed, ends))
+            traw, [r[0] for r in traw],
+            [(ends[u], ends[v]) for (u, v) in edges[:e] + edges[e + 1:]],
+            [(l, ends[v]) for (l, v) in marks], directed)
         subdivider = directed and not ha and n_in[a] == 0 and da == 2
         yield e, key, vertex_map, subdivider
 

@@ -43,19 +43,22 @@ class Graph:
 
     def __init__(self, weights, edges, marks=(), directed=False):
         self.weights = tuple(weights)
+        nv = len(self.weights)
         es = []
         for (u, v) in edges:
-            if not (0 <= u < len(self.weights) and 0 <= v < len(self.weights)):
-                raise GraphError("edge endpoint out of range")
+            if not (type(u) is int and type(v) is int and 0 <= u < nv and 0 <= v < nv):
+                raise GraphError(f"edge end not a vertex: {(u, v)!r}")
             if directed:
                 es.append((u, v))
             else:
                 es.append((u, v) if u <= v else (v, u))
         self.edges = tuple(es)
-        mk = tuple(sorted((int(l), int(v)) for (l, v) in marks))
-        for (_, v) in mk:
-            if not 0 <= v < len(self.weights):
-                raise GraphError("marking on missing vertex")
+        mk = []
+        for (l, v) in marks:
+            if not (type(l) is int and type(v) is int and 0 <= v < nv):
+                raise GraphError(f"marking not an integer label on a vertex: {(l, v)!r}")
+            mk.append((l, v))
+        mk = tuple(sorted(mk))
         labels = [l for (l, _) in mk]
         if len(set(labels)) != len(labels):
             raise GraphError("duplicate marking label")
@@ -333,7 +336,7 @@ def graph_from_json(text: str) -> Graph:
         if d == 1:
             u, v = v, u
         edges.append((u, v))
-    marks = [(int(l), int(v)) for (l, v) in markings.items()]
+    marks = [(int(l), v) for (l, v) in markings.items()]
     g = Graph(weights, edges, marks, directed=bool(directed))
     if not is_connected(g):
         raise GraphError("graph is not connected")

@@ -2,6 +2,7 @@
 import gc
 import itertools
 import json
+import re
 import sys
 import types
 import zlib
@@ -18,11 +19,12 @@ import ogclab.catalogs as catalogs
 from ogclab.graphs import (Graph, GraphError, StabilityProfile, _vertex_data,
                            contract_edge, genus, is_acyclic, is_stable)
 from ogclab.canonical import _encoded, canonical_form, canonicalize, key_tuples
-from ogclab.catalogs import (ResourceCapExceeded, _build_catalog, _core_need,
+from ogclab.catalogs import (ResourceCapExceeded, _build_catalog, _check_pair, _core_need,
                              _min_hairs, _store, cache_path, connected_cores,
                              generate_marked, generate_or_load, generate_oriented,
                              load_catalog, spanning_forests)
-from ogclab.complexes import _admissible_contractions, build_oriented_complex
+from ogclab.complexes import (_admissible_contractions, build_oriented_complex,
+                              build_oriented_complexes)
 from ogclab.zivkovic import run_verification
 
 
@@ -86,6 +88,21 @@ def test_unstable_pair_is_domain_error(monkeypatch):
         generate_oriented(False, (1, 2, 3))
     with pytest.raises(GraphError, match="genus"):
         run_verification(True, (1, 2))
+
+
+@pytest.mark.parametrize("marking, bad", [
+    ((1.7, 2.2), 1.7), (("3", True), "3"), ((2, True), True), ((1.5, 2.9), 1.5),
+    ((0, -1), -1), ((1, 256), 256)])
+def test_marking_labels_are_checked_not_truncated(tmp_path, monkeypatch, marking, bad):
+    # a label is an int, not a bool, that fits the key's byte; the error
+    # names it, and no cache file is named after a truncated label
+    monkeypatch.setenv("OGCLAB_CACHE", str(tmp_path))
+    for call in (lambda: _check_pair(1, marking), lambda: generate_marked(1, marking),
+                 lambda: cache_path("oriented", 1, marking),
+                 lambda: generate_or_load("oriented", 1, marking)):
+        with pytest.raises(GraphError, match=f"label .* got {re.escape(repr(bad))}$"):
+            call()
+    assert not list(tmp_path.iterdir())
 
 
 def test_unknown_flavour_is_refused(tmp_path, monkeypatch):
@@ -523,14 +540,14 @@ def cells(cat):
 def test_labelling_and_generation_leave_no_reference_cycles():
     # the recursive closures of the search and the decorators cut their
     # self-references, so refcounting frees them and the cyclic collector
-    # finds no ogclab function
+    # finds no ogclab function, in generation or in assembly
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         square = ((0, 1), (1, 2), (2, 3), (0, 3))
         assert canonicalize((0,) * 4, square, (), False)[2]    # searched
         generate_marked(1, labels(2))
-        generate_oriented(1, labels(2))
+        build_oriented_complexes(generate_oriented(1, labels(2)))
         gc.collect()
         left = [f"{o.__module__}.{o.__qualname__}" for o in gc.garbage
                 if isinstance(o, types.FunctionType) and o.__module__.startswith("ogclab")]

@@ -122,6 +122,49 @@ def test_cache_reused_between_commands(tmp_path, capsys, monkeypatch):
     assert "betti" in out
 
 
+@pytest.mark.parametrize("g, n", [(1, 2), (2, 1)])
+def test_verify_and_betti_outputs_do_not_depend_on_the_cache(tmp_path, capsys, monkeypatch,
+                                                             g, n):
+    # without a cache, on an empty one (cold, which writes it) and on that
+    # filled one (warm, which reads it through load_catalog)
+    import ogclab.catalogs as catalogs
+
+    loads = []
+    load = catalogs.load_catalog
+    monkeypatch.setattr(catalogs, "load_catalog", lambda path: loads.append(path) or load(path))
+    outputs = {}
+    for command in ("betti", "verify-zivkovic"):
+        cache = tmp_path / "cache" / command
+        for route in ("unset", "cold", "warm"):
+            if route == "unset":
+                monkeypatch.delenv("OGCLAB_CACHE", raising=False)
+            else:
+                monkeypatch.setenv("OGCLAB_CACHE", str(cache))
+            loads.clear()
+            out = tmp_path / route / command
+            extra = ["--flavor", "both", "--export-matrices"] if command == "betti" else []
+            assert run([command, "-g", str(g), "-n", str(n), *extra, "--out", str(out)]) == 0
+            capsys.readouterr()
+            assert sorted(loads) == (sorted(map(str, cache.iterdir())) if route == "warm" else [])
+            tree = read_tree(out)
+            if command == "verify-zivkovic":
+                report = json.loads(tree[f"verify_g{g}_n{n}.json"])
+                del report["timings"]
+                tree = report
+            outputs.setdefault(command, []).append(tree)
+        assert len(loads) == 2              # both flavours read warm
+    for command, (unset, cold, warm) in outputs.items():
+        assert unset == cold == warm, command
+
+
+def test_label_past_a_byte_is_usage_error_before_out(tmp_path, capsys):
+    out = tmp_path / "D"
+    assert run(["enumerate", "-g", "1", "-n", "256", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "pair (g=1, n=256): marking label must be an integer in 0..255, got 256" in err
+    assert not out.exists()
+
+
 def test_non_integer_range_is_usage_error(capsys):
     assert run(["betti", "-g", "x", "-n", "1"]) == 2
     assert run(["enumerate", "-g", "1", "-n", "1..y"]) == 2

@@ -1,4 +1,6 @@
 """Graph core: genus, acyclicity, stability, contraction, JSON round trips."""
+import re
+
 import pytest
 
 import reference_catalogs
@@ -181,3 +183,20 @@ def test_json_dir_one_swaps_endpoints():
 def test_connected():
     assert is_connected(Graph([0], []))
     assert not is_connected(Graph([0, 0], []))
+
+
+@pytest.mark.parametrize("edges, marks", [
+    ([(0.5, 1)], []), ([(0, True)], []), ([("1", 0)], []),
+    ([], [(1.7, 0)]), ([], [(1, 0.0)]), ([], [(True, 0)]), ([], [(1, False)])])
+def test_vertex_ids_and_labels_are_refused_unless_int(edges, marks):
+    # refused, naming the edge or marking, rather than truncated or let through
+    with pytest.raises(GraphError, match=re.escape(repr((edges + marks)[0]))):
+        Graph((0, 0), edges, marks)
+
+
+@pytest.mark.parametrize("edge, vertex", [("0,0.5", "0"), ("0,1", "0.5")])
+def test_json_refuses_a_fractional_vertex(edge, vertex):
+    text = (f'{{"vertices":[{{"w":0}},{{"w":0}}],"edges":[{{"h":[{edge}],"dir":null}}],'
+            f'"markings":{{"1":{vertex}}}}}')
+    with pytest.raises(GraphError, match="0.5"):
+        graph_from_json(text)
