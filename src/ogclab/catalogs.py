@@ -14,12 +14,14 @@ is in the orbit of its last canonical edge, so every core isomorphism class
 appears exactly once.  Growth is pruned by the marking budget: a graph is
 dropped when even the most favourable placement of the edges still to come
 leaves its vertices needing more than ``n`` markings, each vertex needing
-what the decorators below would give it at its degree (``_core_need``).
-Then the cores are decorated: for the oriented flavour each edge is
-subdivided, directed forward or directed backward, and for both the
-markings are assigned so that each vertex gets at least the hairs
-``_min_hairs`` reads off the profile.  Adding hairs never makes a vertex
-inadmissible, so every such assignment is stable.  Decorations that an
+what the decorator below would give it at its degree (``_core_need``).
+Then one decorator, ``_decorations``, serves both flavours: it takes one
+choice per edge and then assigns the markings so that each vertex gets at
+least the hairs ``_min_hairs`` reads off the profile.  A marked edge is
+kept as it is; an oriented edge is subdivided, directed forward or
+directed backward, a loop only subdivided, and the result must be acyclic.
+Adding hairs never makes a vertex inadmissible, so every such assignment
+is stable.  Decorations that an
 automorphism of the core (with the permutations of parallel edges) maps
 onto one another give the same cell, so only the lexicographically least
 of each orbit is canonicalised; the canonical keys remain the guard
@@ -175,13 +177,13 @@ def connected_cores(nv: int, ne: int, max_b1: int, allow_loops: bool,
 @functools.lru_cache(maxsize=None)
 def _core_need(flavor, degree):
     """Fewest markings a decoration of ``flavor`` gives a core vertex of
-    ``degree``: the decorator's own minimum, for the oriented flavour at its
-    least over the in/out splits of the degree.  Non-increasing in the
-    degree and 0 from degree 3 on, for both flavours."""
+    ``degree``: the decorator's own minimum ``_vertex_need``, at its least
+    over the incoming counts the degree allows.  The marked profile ignores
+    incoming ends, so for it every count gives the one minimum.
+    Non-increasing in the degree and 0 from degree 3 on, for both
+    flavours."""
     profile = _PROFILES[flavor]
-    if flavor == "marked":
-        return _min_hairs(profile, degree, 0)
-    return min(_oriented_min(profile, degree, k) for k in range(degree + 1))
+    return min(_vertex_need(profile, degree, k) for k in range(degree + 1))
 
 
 def _least_need(flavor, degrees, half_edges, memo):
@@ -234,9 +236,6 @@ def _pair_orbit(pair, gens):
 
 def _assignments(nv, nlabels, minima):
     """All tuples ``assign[k] = vertex`` with per-vertex minima satisfied."""
-    total = sum(minima)
-    if total > nlabels:
-        return
     assign = [0] * nlabels
     needs = list(minima)
 
@@ -256,7 +255,7 @@ def _assignments(nv, nlabels, minima):
                 needs[v] += 1
 
     try:
-        yield from rec(0, total)
+        yield from rec(0, sum(minima))
     finally:
         del rec     # cut rec's self-reference, so refcounting frees it
 
@@ -283,16 +282,13 @@ def generate_oriented(g: int, labels, max_cells: int | None = None) -> GraphCata
 
 def _generate(flavor, g, labels, max_cells):
     labels = _check_pair(g, labels)
-    profile = _PROFILES[flavor]
+    profile, directed = _PROFILES[flavor], flavor == "oriented"
     n = len(labels)
-    if flavor == "marked":
-        vmax, decorations = max(1, 2 * g - 2 + n), _marked_decorations
-    else:
-        vmax, decorations = max(1, 2 * g - 2 + 2 * n), _oriented_decorations
+    vmax = max(1, 2 * g - 2 + (2 * n if directed else n))
     found = {}
     for nv in range(1, vmax + 1):
         for core in connected_cores(nv, nv + g - 1, g, True, flavor, n):
-            for key, gens in decorations(nv, core, labels, profile):
+            for key, gens in _decorations(nv, core, labels, profile, directed):
                 if key not in found:
                     found[key] = gens
                     if max_cells is not None and len(found) > max_cells:
@@ -313,44 +309,33 @@ def _min_hairs(profile, valence, n_in):
     return m
 
 
-def _marked_decorations(nv, core, labels, profile):
-    edges, auts = core
-    minima = [_min_hairs(profile, d, 0) for d in _degrees(nv, edges)]
-    perms = auts[1:]          # auts is sorted, so the identity comes first
-    out = []
-    weights = (0,) * nv
-    for assign in _assignments(nv, len(labels), minima):
-        if perms and not _orbit_minimal(assign, perms):
-            continue
-        marks = tuple(sorted(zip(labels, assign)))
-        key, _, gens = canonicalize(weights, edges, marks, False)
-        out.append((key, gens))
-    return out
-
-
-def _oriented_min(profile, degree, n_in):
-    """Fewest markings the oriented decorator gives a core vertex of
-    ``degree`` with ``n_in`` incoming edge ends, the two ends of a
-    subdivided edge counting as incoming: ``_min_hairs``, raised to one on a
-    bivalent double-outgoing vertex, the shape a subdivided edge stands for
-    and is generated as."""
+def _vertex_need(profile, degree, n_in):
+    """Fewest markings the decorator gives a core vertex of ``degree`` with
+    ``n_in`` incoming edge ends, the two ends of a subdivided edge counting
+    as incoming: ``_min_hairs``, raised to one on a bivalent
+    double-outgoing vertex, the shape a subdivided edge stands for and is
+    generated as.  The raise never fires under the marked profile, which
+    gives a bivalent vertex one hair already."""
     m = _min_hairs(profile, degree, n_in)
     if m == 0 and n_in == 0 and degree == 2:
         return 1
     return m
 
 
-SUB, FWD, BWD = 0, 1, 2
-_REVERSED = (SUB, BWD, FWD)      # a choice seen from the edge's other end
-_HEADS = ((1, 1), (0, 1), (1, 0))    # per choice, whether its ends (u, v) are heads
+SUB, FWD, BWD, KEEP = 0, 1, 2, 3
+_REVERSED = (SUB, BWD, FWD, KEEP)      # a choice seen from the edge's other end
+_HEADS = ((1, 1), (0, 1), (1, 0), (0, 0))    # per choice, whether its ends (u, v) are heads
 
 
-def _oriented_decorations(nv, core, labels, profile):
-    """Oriented cells over ``core`` as ``(key, automorphism generators)``:
-    each edge is subdivided (``SUB``) or directed from its lower end
-    (``FWD``) or its higher end (``BWD``), and the markings are assigned
-    with at least ``_oriented_min`` at each core vertex.  The core fixes
-    the degrees, so only heads are counted (``_HEADS``).
+def _decorations(nv, core, labels, profile, directed):
+    """The cells over ``core`` as ``(key, automorphism generators)``.  Each
+    edge takes a choice: undirected, every edge is kept (``KEEP``);
+    directed, a loop is subdivided (``SUB``) and any other edge is
+    subdivided or directed from its lower end (``FWD``) or its higher end
+    (``BWD``), and the result must be acyclic.  The markings are then
+    assigned with at least ``_vertex_need`` at each core vertex.  The core
+    fixes the degrees, so only heads are counted (``_HEADS``), and a branch
+    is cut once the vertices it has finished need more than ``n`` markings.
 
     Only one ``(choice, assignment)`` pair per orbit of Aut(core), together
     with the permutations inside parallel bundles, is canonicalised: the
@@ -359,10 +344,13 @@ def _oriented_decorations(nv, core, labels, profile):
     (an edge whose ends it swaps trades ``FWD`` and ``BWD``, and each
     bundle is sorted again); and under the automorphisms that fix the
     choice vector the assignment must be ``_orbit_minimal``.  Pairs in one
-    orbit give the same cell, so no cell is lost."""
+    orbit give the same cell, so no cell is lost.  Undirected, every
+    automorphism fixes the all-``KEEP`` vector, so this is the least
+    assignment per orbit of Aut(core)."""
     edges, auts = core
     n = len(labels)
     ne = len(edges)
+    loop_opts, edge_opts = ((SUB,), (SUB, FWD, BWD)) if directed else ((KEEP,), (KEEP,))
     # vertex v is complete once every incident edge has been decided
     last_touch = [0] * nv
     for i, (u, v) in enumerate(edges):
@@ -390,7 +378,7 @@ def _oriented_decorations(nv, core, labels, profile):
         images.append((a, sources))
     deg = _degrees(nv, edges)
     ind = [0] * nv
-    choice = [SUB] * ne
+    choice = [KEEP] * ne
     results = []
 
     def rec(i, deficit):
@@ -400,7 +388,7 @@ def _oriented_decorations(nv, core, labels, profile):
             finish()
             return
         (u, v) = edges[i]
-        opts = (SUB,) if u == v else (SUB, FWD, BWD)
+        opts = loop_opts if u == v else edge_opts
         if i and edges[i - 1] == edges[i]:
             opts = [c for c in opts if c >= choice[i - 1]]
         for c in opts:
@@ -410,7 +398,7 @@ def _oriented_decorations(nv, core, labels, profile):
             choice[i] = c
             d = deficit
             for w in finishers[i]:
-                d += _oriented_min(profile, deg[w], ind[w])
+                d += _vertex_need(profile, deg[w], ind[w])
             rec(i + 1, d)
             ind[u] -= at_u
             ind[v] -= at_v
@@ -428,26 +416,25 @@ def _oriented_decorations(nv, core, labels, profile):
                 fixing.append(a)
         es = []
         nv2 = nv
-        for i, (u, v) in enumerate(edges):
-            c = choice[i]
+        for (u, v), c in zip(edges, choice):
             if c == SUB:
                 es.append((nv2, u))
                 es.append((nv2, v))
                 nv2 += 1
-            elif c == FWD:
-                es.append((u, v))
-            else:
+            elif c == BWD:
                 es.append((v, u))
-        if not _acyclic(nv2, es):
+            else:
+                es.append((u, v))
+        if directed and not _acyclic(nv2, es):
             return
-        minima = [_oriented_min(profile, deg[v], ind[v]) for v in range(nv)]
+        minima = [_vertex_need(profile, deg[v], ind[v]) for v in range(nv)]
         weights = (0,) * nv2
         es = tuple(es)
         for assign in _assignments(nv, n, minima):
             if fixing and not _orbit_minimal(assign, fixing):
                 continue
             marks = tuple(sorted(zip(labels, assign)))
-            key, _, gens = canonicalize(weights, es, marks, True)
+            key, _, gens = canonicalize(weights, es, marks, directed)
             results.append((key, gens))
 
     rec(0, 0)

@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "the spanning-forest quasi-isomorphism check.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, out_help):
         p.add_argument("-g", "--genus", required=True,
                        help="genus or range, e.g. 1 or 1..2")
         p.add_argument("-n", "--markings", required=True,
@@ -171,22 +171,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect")
         p.add_argument("--max-cells", type=_cell_cap, default=None)
-        p.add_argument("--out", default=None)
+        p.add_argument("--out", default=None, help=out_help)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p_enum = sub.add_parser("enumerate", help="generate catalogs on disk")
-    common(p_enum)
-    p_enum.set_defaults(func=cmd_enumerate, out_required=True)
+    common(p_enum, "directory for the catalogs (default: %(default)s)")
+    p_enum.set_defaults(func=cmd_enumerate, out="ogclab_out")
 
     p_betti = sub.add_parser("betti", help="Betti tables for the complexes")
-    common(p_betti)
+    common(p_betti, "directory for the Betti table and any matrices")
     p_betti.add_argument("--export-matrices", action="store_true",
                          help="also write the differentials in MatrixMarket form")
     p_betti.set_defaults(func=cmd_betti)
 
     p_verify = sub.add_parser("verify-zivkovic",
                               help="chain map and quasi-isomorphism verification")
-    common(p_verify)
+    common(p_verify, "directory for one report file per pair")
     p_verify.set_defaults(func=cmd_verify_zivkovic)
     return parser
 
@@ -197,9 +197,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "out_required", False) and not args.out:
-        args.out = "ogclab_out"
     try:
+        if args.out == "":
+            raise GraphError("--out is empty; it must name a directory")
         return args.func(args)
     except ResourceCapExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)

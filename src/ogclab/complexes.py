@@ -164,20 +164,20 @@ def _check_oriented(catalog: GraphCatalog) -> None:
         raise ComplexError("build_oriented_complex needs an oriented catalog")
 
 
-def _edge_order_sign(edges, e, vertex_map) -> int:
+def _edge_order_sign(edges, e, quotient, vertex_map) -> int:
     """``(-1)^e`` for removing edge ``e`` from the edge order, times the
     parity of the edge relabelling that the target's canonical relabelling
     ``vertex_map`` induces, parallel edges matched in order: the parity of
-    the stable sort of the other edges' (undirected) images."""
-    ends = _merging(len(vertex_map) + 1, *edges[e])
+    the stable sort of the (undirected) images of the ``quotient`` edges,
+    the other edges in order with the ends of ``e`` merged."""
     images = []
-    for (u, v) in edges[:e] + edges[e + 1:]:
-        a, b = vertex_map[ends[u]], vertex_map[ends[v]]
+    for (u, v) in quotient:
+        a, b = vertex_map[u], vertex_map[v]
         images.append((a, b) if a <= b else (b, a))
     return (-1) ** e * perm_parity(sorted(range(len(images)), key=images.__getitem__))
 
 
-def _vertex_order_sign(edges, e, vertex_map) -> int:
+def _vertex_order_sign(edges, e, quotient, vertex_map) -> int:
     """Parity of moving the ends ``(a, b)`` of ``e`` to the front, times the
     parity of the canonical relabelling on ``[merged] + rest``.  Moving ``a``
     to the front takes ``a`` transpositions, then ``b`` takes ``b - (b > a)``;
@@ -198,11 +198,12 @@ def _merging(nv, a, b) -> list:
 
 
 def _admissible_contractions(g, profile: StabilityProfile):
-    """Yield ``(edge, key, vertex_map, subdivider)`` for every contraction
-    in the differential of ``g = (weights, edges, marks, directed)``, an
-    acyclic stable catalog cell: ``key`` and ``vertex_map`` are what
-    ``canonicalize`` gives for the target ``graphs.contract_edge`` makes,
-    the relabelling as a list.
+    """Yield ``(edge, quotient, key, vertex_map, subdivider)`` for every
+    contraction in the differential of ``g = (weights, edges, marks,
+    directed)``, an acyclic stable catalog cell: ``quotient`` is the edge
+    list labelled, and ``key`` and ``vertex_map`` are what ``canonicalize``
+    gives for the target ``graphs.contract_edge`` makes, the relabelling as
+    a list.
 
     Never a loop or an edge with a parallel partner: either would raise a
     weight.  The target must be stable and, when directed, acyclic, which is
@@ -249,12 +250,11 @@ def _admissible_contractions(g, profile: StabilityProfile):
         ends = _merging(nv, a, b)
         traw = raw[:hi] + raw[hi + 1:]
         traw[lo] = (w, tuple(sorted(ha + hb)), da + db - 2)
-        key, vertex_map, _ = _labelling(
-            traw, [r[0] for r in traw],
-            [(ends[u], ends[v]) for (u, v) in edges[:e] + edges[e + 1:]],
-            [(l, ends[v]) for (l, v) in marks], directed)
+        quotient = [(ends[u], ends[v]) for (u, v) in edges[:e] + edges[e + 1:]]
+        key, vertex_map, _ = _labelling(traw, [r[0] for r in traw], quotient,
+                                        [(l, ends[v]) for (l, v) in marks], directed)
         subdivider = directed and not ha and n_in[a] == 0 and da == 2
-        yield e, key, vertex_map, subdivider
+        yield e, quotient, key, vertex_map, subdivider
 
 
 def _reaches(succ, a, b) -> bool:
@@ -275,8 +275,9 @@ def _reaches(succ, a, b) -> bool:
 def _assemble(catalog: GraphCatalog, variants, sign) -> list:
     """The one column loop behind both complexes, returning one complex per
     name in ``variants``.  The column of generator ``g`` in degree ``k``
-    sums ``sign(edges, e, vertex_map)`` over the admissible contractions of
-    ``g``, ``vertex_map`` being the canonical relabelling of the target;
+    sums ``sign(edges, e, quotient, vertex_map)`` over the admissible
+    contractions of ``g``, ``vertex_map`` being the canonical relabelling of
+    the target and ``quotient`` the other edges with the ends merged;
     each contraction is labelled once, on the generator's quotient (see
     ``_admissible_contractions``), and a ``subdividers_frozen`` variant
     skips the subdivider edges.  Each column is summed in a dict and packed
@@ -299,7 +300,7 @@ def _assemble(catalog: GraphCatalog, variants, sign) -> list:
         for col, key in enumerate(basis[k]):
             g = key_tuples(key)
             kept, extra = {}, {}      # subdivider terms go to extra
-            for e, tkey, vertex_map, subdivider in _admissible_contractions(
+            for e, quotient, tkey, vertex_map, subdivider in _admissible_contractions(
                     g, catalog.profile):
                 if subdivider and not unfrozen:
                     continue
@@ -316,7 +317,7 @@ def _assemble(catalog: GraphCatalog, variants, sign) -> list:
                 if kk != k - 1:
                     raise ComplexError("contraction changed the degree by != 1")
                 acc = extra if subdivider else kept
-                acc[row] = acc.get(row, 0) + sign(g[1], e, vertex_map)
+                acc[row] = acc.get(row, 0) + sign(g[1], e, quotient, vertex_map)
             frozen = _pack(kept)
             if extra:
                 for row, s in extra.items():

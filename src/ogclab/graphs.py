@@ -311,33 +311,43 @@ def json_text(weights, edges, marks, directed) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
+    """The graph of a JSON text in the schema above.  A weight must be an
+    ``int`` >= 0, ``h`` a pair of ``int``s, ``dir`` 0, 1 or null, and
+    ``markings`` an object keyed by labels as ``json_text`` writes them;
+    else ``GraphError`` names the field."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphError(f"bad graph JSON: {exc}") from exc
     try:
-        weights = [int(v["w"]) for v in doc["vertices"]]
-        raw_edges = doc["edges"]
+        weights = [v["w"] for v in doc["vertices"]]
+        raw_edges = [(e["h"], e.get("dir")) for e in doc["edges"]]
         markings = doc["markings"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise GraphError(f"graph JSON missing field: {exc}") from exc
-    if any(w < 0 for w in weights):
-        raise GraphError("negative vertex weight")
-    dirs = {e.get("dir") for e in raw_edges}
-    directed = dirs and dirs != {None}
-    if directed and None in dirs:
+    for w in weights:
+        if type(w) is not int or w < 0:
+            raise GraphError(f"vertex weight \"w\" must be an integer >= 0, got {w!r}")
+    edges, dirs = [], set()
+    for h, d in raw_edges:
+        if type(h) is not list or len(h) != 2 or any(type(x) is not int for x in h):
+            raise GraphError(f"edge \"h\" must be a pair of integers, got {h!r}")
+        if d is not None and (type(d) is not int or d not in (0, 1)):
+            raise GraphError(f"edge \"dir\" must be 0, 1 or null, got {d!r}")
+        dirs.add(d is not None)
+        edges.append((h[1], h[0]) if d == 1 else tuple(h))
+    if len(dirs) > 1:
         raise GraphError("mixed directed and undirected edges")
-    edges = []
-    for e in raw_edges:
-        u, v = e["h"]
-        d = e.get("dir")
-        if d not in (0, 1, None):
-            raise GraphError("edge dir must be 0, 1 or null")
-        if d == 1:
-            u, v = v, u
-        edges.append((u, v))
-    marks = [(int(l), v) for (l, v) in markings.items()]
-    g = Graph(weights, edges, marks, directed=bool(directed))
+    directed = dirs == {True}
+    if type(markings) is not dict:
+        raise GraphError(f"\"markings\" must be an object, got {markings!r}")
+    marks = []
+    for label, v in markings.items():
+        number = int(label) if label.removeprefix("-").isdecimal() else None
+        if str(number) != label:
+            raise GraphError(f"marking label must be a decimal integer, got {label!r}")
+        marks.append((number, v))
+    g = Graph(weights, edges, marks, directed=directed)
     if not is_connected(g):
         raise GraphError("graph is not connected")
     if g.directed and not is_acyclic(g):

@@ -1,11 +1,12 @@
-"""Reference for the oriented decorator and the cell-file writer.
+"""Reference for the decorator and the cell-file writer.
 
-``oriented_decorations`` is the oriented decorator as it was before it
-pruned by Aut(core): it canonicalises every acyclic decoration meeting the
-hair minima, so a cell is reached once per decoration in its orbit.
-``graph_to_json`` is the cell-file writer as it was before it formatted
-strings directly: a dict passed through ``json.dumps``.  Both are slow and
-kept only to check the package against.
+``marked_decorations`` and ``oriented_decorations`` decorate a core as the
+two decorators did before they pruned by Aut(core): each canonicalises every
+decoration meeting the hair minima (acyclic, when oriented), so a cell is
+reached once per decoration in its orbit.  ``catalogs._decorations`` now
+serves both flavours.  ``graph_to_json`` is the cell-file writer as it was
+before it formatted strings directly: a dict passed through ``json.dumps``.
+All are slow and kept only to check the package against.
 """
 from __future__ import annotations
 
@@ -16,6 +17,21 @@ from ogclab.catalogs import _assignments, _min_hairs
 from ogclab.graphs import Graph, _acyclic
 
 SUB, FWD, BWD = 0, 1, 2
+
+
+def marked_decorations(nv, core, labels, profile):
+    edges, _ = core
+    deg = [0] * nv
+    for (u, v) in edges:
+        deg[u] += 1
+        deg[v] += 1
+    minima = [_min_hairs(profile, d, 0) for d in deg]
+    results = []
+    for assign in _assignments(nv, len(labels), minima):
+        marks = tuple(sorted(zip(labels, assign)))
+        key, _, gens = canonicalize((0,) * nv, edges, marks, False)
+        results.append((key, gens))
+    return results
 
 
 def oriented_decorations(nv, core, labels, profile):

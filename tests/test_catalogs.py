@@ -1,5 +1,6 @@
 """Catalog generation, spanning forests, contraction targets, persistence."""
 import gc
+import hashlib
 import itertools
 import json
 import re
@@ -368,30 +369,27 @@ def test_least_need_memo_lives_for_one_core_call(monkeypatch):
     assert not hasattr(least_need, "cache_info")
 
 
-def reference_oriented_catalog(g, n):
-    """The oriented catalog from the unpruned cores and the decorator that
-    canonicalises every decoration."""
-    profile = StabilityProfile.oriented()
+def reference_catalog(flavor, g, n):
+    """The catalog from the unpruned cores and the decorator of the flavour
+    that canonicalises every decoration."""
+    profile = catalogs._PROFILES[flavor]
+    decorations = (reference_catalogs.marked_decorations if flavor == "marked"
+                   else reference_catalogs.oriented_decorations)
+    vmax = max(1, 2 * g - 2 + (n if flavor == "marked" else 2 * n))
     found = {}
-    for nv in range(1, max(1, 2 * g - 2 + 2 * n) + 1):
+    for nv in range(1, vmax + 1):
         for core in connected_cores(nv, nv + g - 1, g, True):
-            for key, gens in reference_catalogs.oriented_decorations(
-                    nv, core, labels(n), profile):
+            for key, gens in decorations(nv, core, labels(n), profile):
                 found.setdefault(key, gens)
-    return _build_catalog("oriented", g, labels(n),
+    return _build_catalog(flavor, g, labels(n),
                           ((key, key_tuples(key), found[key]) for key in sorted(found)))
 
 
-@pytest.mark.parametrize("g, n", CRIT2_PAIRS + [(0, 3), (0, 4), (0, 5)])
-def test_orbit_pruned_decorations_give_the_reference_catalog(g, n):
-    assert cells(generate_oriented(g, labels(n))) == cells(reference_oriented_catalog(g, n))
-
-
-def test_generation_counts_at_one_four(monkeypatch):
-    # deterministic counts catch a lost prune where timings would not: one
-    # decoration canonicalisation per cell, and the core canonicalisations
-    # of budget-pruned growth (5,884 unpruned)
-    counts = Counter()
+def canonicalisations(monkeypatch):
+    """Make ``catalogs`` append the key of each of its ``canonicalize``
+    calls to ``made["cores"]`` inside core growth and to
+    ``made["decorations"]`` outside it; return ``made``."""
+    made = {"cores": [], "decorations": []}
     inside = []
 
     def counting_cores(*args):
@@ -402,17 +400,77 @@ def test_generation_counts_at_one_four(monkeypatch):
             inside.pop()
 
     def counting_canonicalize(*args):
-        counts["cores" if inside else "decorations"] += 1
-        return canonicalize(*args)
+        out = canonicalize(*args)
+        made["cores" if inside else "decorations"].append(out[0])
+        return out
 
     canonicalize = catalogs.canonicalize
     monkeypatch.setattr(catalogs, "connected_cores", counting_cores)
     monkeypatch.setattr(catalogs, "canonicalize", counting_canonicalize)
+    return made
+
+
+@pytest.mark.parametrize("g, n", CRIT2_PAIRS + [(0, 3), (0, 4), (0, 5)])
+def test_orbit_pruned_decorations_give_the_reference_catalog(g, n, monkeypatch):
+    # for both flavours: the reference's cells, each reached by exactly one
+    # canonicalised decoration, one per orbit
+    made = canonicalisations(monkeypatch)
+    for flavor, gen in (("marked", generate_marked), ("oriented", generate_oriented)):
+        made["decorations"].clear()
+        cat = gen(g, labels(n))
+        assert sorted(made["decorations"]) == sorted(e.key for e in cat.entries()), flavor
+        assert cells(cat) == cells(reference_catalog(flavor, g, n)), flavor
+
+
+# sha256 over each cell's key (hex), kill flag and automorphism order, one
+# line each in catalog order, pinned from the two decorators that preceded
+# catalogs._decorations; CI runs it on every Python it tests
+PINNED_CATALOGS = [
+    ("marked", 1, 1, 1, "abc23355bb43df5fae206703a562f7a1a528ab2c3c9f1884814b0858e78aabc9"),
+    ("marked", 1, 2, 3, "6585e53ce24de235719536bfce775831d825d02842bee739ec93dee85d61d099"),
+    ("marked", 1, 3, 15, "ceb6c311f30310e1f2d68828d3341772cada3c2edeeb70808a3d28f53aa089cb"),
+    ("marked", 1, 4, 111, "c0381458ba56169770da662dc1832a323d4dd4ec39f307117a04f55167233bcd"),
+    ("marked", 2, 1, 7, "54f201ba012766031c4eab2da85efee27966a96a625bce866345c2066321f667"),
+    ("marked", 2, 2, 35, "7f0976830757ef584fcb1a29c64b480fee7f3f5f5faa58d9111a5601f5087884"),
+    ("marked", 3, 1, 64, "581e59c3f8519bff5a79ef5058dc812271a5ee8c62c0ce6dc9d1578ebb23f645"),
+    ("marked", 0, 5, 26, "0bf9432772059a5b762be082e4ca2849d1684a886be8fee0db1b4f3c5e5fd069"),
+    ("marked", 2, 3, 273, "0b141c2c09e17d45005c8d30cbca9c66f757db982d8251a1784f5a26e9583dbb"),
+    ("marked", 3, 2, 502, "bc9b51570843123e5fa5ed3399236b79d6e440c4a04c212834f2721840cfa8e9"),
+    ("marked", 3, 3, 5472, "bf43ec0fade5a5debef1566ac699175a921d3df1f8c7028c9fc6dc2c492ccdc9"),
+    ("oriented", 1, 1, 1, "5b506c2fc60d77c3bc4a286988ed9ccffe11bdde7b6a036ca45f036f17ccdee2"),
+    ("oriented", 1, 2, 15, "dca3bcb5e8d29514acfd6baab8647173dd0101fd121e4142434ebef8c791ebb1"),
+    ("oriented", 1, 3, 345, "bd6c76d33112b25bf606dbf5bfc1ac2101ab2115444ae74d4491de10d3ef6ce9"),
+    ("oriented", 1, 4, 11483, "eb4cf7fcb2a36c3726bb410bea4af407f76becd3309b4f3c7fda719badbf60f9"),
+    ("oriented", 2, 1, 15, "ce0ac628bfa4dd8562e8726b48aadd0e5b4cd9c2c8cd0553615a8ca3c9d2385b"),
+    ("oriented", 2, 2, 522, "7bb33d2ade3dae8a42b9a350e49764ed2523360acb2c11cd0f7724929df2df2f"),
+    ("oriented", 3, 1, 434, "ebac6bdca5e7c3333537716ef63d5e7b1f4e932301ef19149b1ae40ff2fc1d51"),
+    ("oriented", 0, 5, 3026, "248a230be58b785c8ada71228c944959275a2519ba7a8a2b9888d0ad92abdd6f"),
+    ("oriented", 2, 3, 22606, "978e2eb54494536c9819525a6b4f724480e3dfb58b3be91b3c437ec35c3ce828"),
+]
+
+
+def test_catalog_keys_are_pinned():
+    found = []
+    for flavor, g, n, _, _ in PINNED_CATALOGS:
+        cat = (generate_marked if flavor == "marked" else generate_oriented)(g, labels(n))
+        digest = hashlib.sha256()
+        for e in cat.entries():
+            digest.update(b"%s %d %d\n" % (e.key.hex().encode(), e.killed, e.aut_order))
+        found.append((flavor, g, n, cat.total(), digest.hexdigest()))
+    assert found == PINNED_CATALOGS
+
+
+def test_generation_counts_at_one_four(monkeypatch):
+    # deterministic counts catch a lost prune where timings would not: one
+    # decoration canonicalisation per cell, and the core canonicalisations
+    # of budget-pruned growth (5,884 unpruned)
+    made = canonicalisations(monkeypatch)
     found = {}
     for gen in (generate_marked, generate_oriented):
-        counts.clear()
+        for keys in made.values():
+            keys.clear()
         cat = gen(1, labels(4))
-        found[cat.flavor] = (cat.total(), counts["decorations"], counts["cores"])
+        found[cat.flavor] = (cat.total(), len(made["decorations"]), len(made["cores"]))
     assert found == {"marked": (111, 111, 67), "oriented": (11483, 11483, 2101)}
 
 
@@ -458,7 +516,7 @@ def targets(graph, profile):
     from ``graphs.contract_edge``, whose canonical key and relabelling must
     be those the assembly labels it with."""
     out = []
-    for e, key, vertex_map, flag in _admissible_contractions(graph.key(), profile):
+    for e, _, key, vertex_map, flag in _admissible_contractions(graph.key(), profile):
         target = contract_edge(graph, e)
         cf = canonical_form(target)
         assert (key, tuple(vertex_map)) == (cf.key, cf.vertex_map)

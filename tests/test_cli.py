@@ -243,6 +243,23 @@ def test_unusable_out_is_usage_error_before_any_work(tmp_path, capsys, monkeypat
     assert len(err) == 1 and err[0].startswith("usage error") and str(out) in err[0]
 
 
+@pytest.mark.parametrize("command", ["enumerate", "betti", "verify-zivkovic"])
+def test_empty_out_is_usage_error_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # not ignored, and not enumerate's default directory either
+    import ogclab.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+
+    monkeypatch.setattr(cli, "generate_or_load", no_work)
+    monkeypatch.setattr(cli, "run_verification", no_work)
+    monkeypatch.chdir(tmp_path)
+    assert run([command, "-g", "1", "-n", "2", "--out", ""]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error") and "--out" in err[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_root_that_is_a_file_is_usage_error(tmp_path, capsys, monkeypatch):
     root = tmp_path / "cache"
     root.write_text("")

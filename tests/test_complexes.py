@@ -493,14 +493,14 @@ def test_tuple_contractions_match_graph_reference(flavor, monkeypatch):
             graph, tuples = decode_key(entry.key), key_tuples(entry.key)
             fast = labelled_contractions(tuples, cat.profile, calls)
             slow = list(ref.admissible_contractions(graph, cat.profile))
-            assert [(e, flag) for (e, _, _, flag), _ in fast] == \
+            assert [(e, flag) for (e, _, _, _, flag), _ in fast] == \
                 [(e, flag) for e, _, flag in slow]
-            for ((e, key, vertex_map, _), kind), (_, ref_target, _) in zip(fast, slow):
+            for ((e, quotient, key, vertex_map, _), kind), (_, ref_target, _) in zip(fast, slow):
                 cf = canonical_form(ref_target)
                 assert (key, tuple(vertex_map)) == (cf.key, cf.vertex_map)
-                assert sign(tuples[1], e, vertex_map) == ref_sign(graph, e, cf)
+                assert sign(tuples[1], e, quotient, vertex_map) == ref_sign(graph, e, cf)
                 kinds[kind] += 1
-            admitted = {e for (e, _, _, _), _ in fast}
+            admitted = {e for (e, _, _, _, _), _ in fast}
             succ = [[v for (u, v) in graph.edges if u == x] for x in range(graph.n_vertices)]
             for e, (a, b) in enumerate(graph.edges):
                 if a == b or graph.parallel_count(e):

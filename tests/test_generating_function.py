@@ -94,7 +94,7 @@ def test_series_counts_the_smallest_graphs():
 
 @pytest.mark.parametrize("g, n", [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 1), (1, 2),
                                   (1, 3), (1, 4), (1, 5), (1, 6), (2, 1), (2, 2), (2, 3),
-                                  (2, 4), (3, 1), (3, 2), (4, 1)])
+                                  (2, 4), (3, 1), (3, 2), (3, 3), (4, 1)])
 def test_marked_catalog_matches_the_graph_series(g, n):
     cat = generate_marked(g, tuple(range(1, n + 1)))
     e_max = 3 * g - 3 + n       # trivalent graphs have the most edges

@@ -200,3 +200,22 @@ def test_json_refuses_a_fractional_vertex(edge, vertex):
             f'"markings":{{"1":{vertex}}}}}')
     with pytest.raises(GraphError, match="0.5"):
         graph_from_json(text)
+
+
+WELL_FORMED = ('{"vertices":[{"w":0},{"w":0}],"edges":[{"h":[0,1],"dir":null}],'
+               '"markings":{"1":0,"2":1}}')
+
+
+@pytest.mark.parametrize("part, malformed, field", [
+    ('{"w":0}', '{"w":1.5}', '"w"'), ('{"w":0}', '{"w":true}', '"w"'),
+    ('{"w":0}', '{"w":"2"}', '"w"'), ('"1":0', '"x":0', "marking label"),
+    ('"1":0', '"1.0":0', "marking label"), ("[0,1]", "[0,1,2]", '"h"'),
+    ('"dir":null', '"dir":true', '"dir"'), ('{"1":0,"2":1}', "[[1,0],[2,1]]", '"markings"')],
+    ids=["w-float", "w-bool", "w-string", "label-word", "label-float", "h-triple",
+         "dir-bool", "markings-list"])
+def test_json_refuses_malformed_fields(part, malformed, field):
+    # refused with a GraphError naming the field, not truncated, let
+    # through or failing with an error that names nothing
+    assert graph_from_json(WELL_FORMED).n_vertices == 2
+    with pytest.raises(GraphError, match=re.escape(field)):
+        graph_from_json(WELL_FORMED.replace(part, malformed, 1))
